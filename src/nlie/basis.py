@@ -29,7 +29,15 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .terms import Term, is_canonical, is_leaf, length, term_key, weight
+from .terms import (
+    Term,
+    distinct_descending,
+    is_canonical,
+    is_leaf,
+    term_key,
+    weight,
+    weight_multisets,
+)
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -49,13 +57,7 @@ class BasicCommutator(NamedTuple):
     length: int
 
 
-def _tail_tuple(t: Term) -> tuple:
-    """Children after the first slot; for left-normed terms these are the
-    generator indices of the outermost tail."""
-    return t[1:]
-
-
-def _tuple_key(leaves: tuple, n: int) -> tuple:
+def _tuple_key(leaves: tuple) -> tuple:
     # right-to-left first-difference order on descending leaf tuples
     return tuple(reversed(leaves))
 
@@ -73,8 +75,7 @@ def _is_left_normed_basic(t: Term, n: int) -> bool:
         return False
     # chain condition: this tail must be >= the previous tail (for the
     # core, its last n-1 generators) under the right-to-left tuple order
-    prev = _tail_tuple(head)
-    return _tuple_key(tail, n) >= _tuple_key(prev, n)
+    return _tuple_key(tail) >= _tuple_key(head[1:])
 
 
 def _is_full_rule3_basic(t: Term, n: int) -> bool:
@@ -82,14 +83,19 @@ def _is_full_rule3_basic(t: Term, n: int) -> bool:
         return True
     if all(is_leaf(c) for c in t):
         return True
-    w = weight(t, n)
     kws = [weight(c, n) for c in t]
-    if any(wc >= w for wc in kws):
+    if max(kws) >= sum(kws) - (n - 2):  # a child as heavy as t itself
         return False
     # canonical order already gives non-increasing weights and strict
     # descent among equal weights; children must be recursively basic
     if not all(_is_full_rule3_basic(c, n) for c in t):
         return False
+    return _descent_rule(t, kws, n)
+
+
+def _descent_rule(t: tuple, kws, n: int) -> bool:
+    """At every weight descent where the heavier child (weights `kws`) is
+    a bracket, its last component is <= the last child of t."""
     last_key = term_key(t[-1], n)
     for s in range(n - 1):
         if kws[s] > kws[s + 1] and not is_leaf(t[s]):
@@ -113,37 +119,6 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
 # Enumeration
 
 
-def _weight_multisets(total: int, parts: int, cap: int):
-    """Non-increasing compositions of `total` into `parts` parts, each in
-    [1, cap]."""
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total - (parts - 1)), 0, -1):
-        for rest in _weight_multisets(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _grouped_choices(ws: tuple, pools: dict, n: int):
-    """All strictly descending child tuples whose weights are exactly `ws`
-    (non-increasing), children drawn from pools[w] (each pool sorted
-    ascending).  Within a run of equal weights children are chosen as a
-    strictly descending combination; across different weights descent is
-    automatic."""
-    runs = [(w, len(list(g))) for w, g in itertools.groupby(ws)]
-    per_run = []
-    for w, count in runs:
-        pool = pools[w]
-        if len(pool) < count:
-            return
-        per_run.append(
-            [tuple(reversed(c)) for c in itertools.combinations(pool, count)]
-        )
-    for pick in itertools.product(*per_run):
-        yield tuple(itertools.chain.from_iterable(pick))
-
-
 @lru_cache(maxsize=None)
 def _full_basics(n: int, d: int, w: int) -> tuple:
     """Ascending tuple of FULL_RULE3 basic terms of weight w on d letters."""
@@ -151,54 +126,39 @@ def _full_basics(n: int, d: int, w: int) -> tuple:
         return tuple(range(1, d + 1))
     if d < n:
         return ()
-    if w == 2:
-        return tuple(
-            tuple(reversed(c))
-            for c in itertools.combinations(range(1, d + 1), n)
-        )
     out = []
     needed = {}
-    for ws in _weight_multisets(w + n - 2, n, w - 1):
+    for ws in weight_multisets(w + n - 2, n, w - 1):
         for wc in set(ws):
             if wc not in needed:
                 needed[wc] = _full_basics(n, d, wc)
-        for kids in _grouped_choices(ws, needed, n):
-            t = kids
-            if _passes_descent_rule(t, ws, n):
+        for t in distinct_descending(ws, needed):
+            if _descent_rule(t, ws, n):
                 out.append(t)
     out.sort(key=lambda t: term_key(t, n))
     return tuple(out)
 
 
-def _passes_descent_rule(t: tuple, kws: tuple, n: int) -> bool:
-    last_key = term_key(t[-1], n)
-    for s in range(n - 1):
-        if kws[s] > kws[s + 1] and not is_leaf(t[s]):
-            if term_key(t[s][-1], n) > last_key:
-                return False
-    return True
+def _cores_and_tails(n: int, d: int):
+    """Each left-normed core (a descending n-tuple of generators) with the
+    tails (descending (n-1)-tuples) allowed to follow it: those >= the
+    core's own tail in the right-to-left tuple order."""
+    tails = sorted(
+        (tuple(reversed(c)) for c in itertools.combinations(range(1, d + 1), n - 1)),
+        key=_tuple_key,
+    )
+    for c in itertools.combinations(range(1, d + 1), n):
+        core = tuple(reversed(c))
+        start = _tuple_key(core[1:])
+        yield core, [s for s in tails if _tuple_key(s) >= start]
 
 
 @lru_cache(maxsize=None)
 def _left_normed_basics(n: int, d: int, w: int) -> tuple:
     if w == 1:
         return tuple(range(1, d + 1))
-    if d < n:
-        return ()
-    cores = [
-        tuple(reversed(c)) for c in itertools.combinations(range(1, d + 1), n)
-    ]
-    if w == 2:
-        cores.sort(key=lambda t: term_key(t, n))
-        return tuple(cores)
-    tails = sorted(
-        (tuple(reversed(c)) for c in itertools.combinations(range(1, d + 1), n - 1)),
-        key=lambda s: _tuple_key(s, n),
-    )
     out = []
-    for core in cores:
-        start = _tuple_key(core[1:], n)
-        allowed = [s for s in tails if _tuple_key(s, n) >= start]
+    for core, allowed in _cores_and_tails(n, d):
         for chain in itertools.combinations_with_replacement(allowed, w - 2):
             t: Term = core
             for tail in chain:
@@ -248,16 +208,7 @@ def count_by_enumeration(
     if w == 2:
         return comb(d, n)
     if mode is EnumerationMode.LEFT_NORMED:
-        # combinatorial count: per core, a multiset of w-2 tails drawn from
-        # the tails >= the core's own tail
-        tails = sorted(
-            _tuple_key(tuple(reversed(c)), n)
-            for c in itertools.combinations(range(1, d + 1), n - 1)
-        )
-        total = 0
-        for core in itertools.combinations(range(1, d + 1), n):
-            start = _tuple_key(tuple(reversed(core))[1:], n)
-            a = sum(1 for s in tails if s >= start)
-            total += comb(a + w - 3, w - 2)
-        return total
+        # combinatorial count: per core, a multiset of w-2 allowed tails
+        cores = _cores_and_tails(n, d)
+        return sum(comb(len(allowed) + w - 3, w - 2) for _, allowed in cores)
     return len(_full_basics(n, d, w))

@@ -12,8 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
-from math import comb
 
 from . import basis, counting, oracle, rewrite, terms
 
@@ -35,17 +33,18 @@ _METHOD_NAMES = {
 }
 
 
+_ENUM_MODES = {
+    counting.ENUM_FULL: basis.EnumerationMode.FULL_RULE3,
+    counting.ENUM_LEFT: basis.EnumerationMode.LEFT_NORMED,
+}
+
+
 def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
     """Value of one method on one cell, or None when not applicable /
     uncomputable."""
-    if tag == counting.ENUM_FULL:
+    if tag in _ENUM_MODES:
         try:
-            return basis.count_by_enumeration(n, d, w, basis.EnumerationMode.FULL_RULE3)
-        except basis.EnumerationCapExceeded:
-            return None
-    if tag == counting.ENUM_LEFT:
-        try:
-            return basis.count_by_enumeration(n, d, w, basis.EnumerationMode.LEFT_NORMED)
+            return basis.count_by_enumeration(n, d, w, _ENUM_MODES[tag])
         except basis.EnumerationCapExceeded:
             return None
     if tag == counting.ORACLE:
@@ -235,8 +234,26 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input as one line on stderr (no usage block), exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse's "invalid int value" message
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="nlie",
         description="Basic commutators of free n-Lie algebras: counting, "
         "enumeration, rewriting, and exact validation.",
@@ -244,24 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="evaluate one counting method on one cell")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--w", type=int, required=True)
+    c.add_argument("--n", type=_int_at_least(2), required=True)
+    c.add_argument("--d", type=_int_at_least(1), required=True)
+    c.add_argument("--w", type=_int_at_least(1), required=True)
     c.add_argument("--method", choices=sorted(_METHOD_NAMES), required=True)
     c.add_argument("--oracle-ceiling", type=int, default=DEFAULT_COMPARE_ORACLE_CEILING)
     c.set_defaults(func=cmd_count)
 
     e = sub.add_parser("enumerate", help="list basic commutators")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--d", type=int, required=True)
-    e.add_argument("--w", type=int, required=True)
+    e.add_argument("--n", type=_int_at_least(2), required=True)
+    e.add_argument("--d", type=_int_at_least(1), required=True)
+    e.add_argument("--w", type=_int_at_least(1), required=True)
     e.add_argument("--mode", choices=["full", "left"], default="full")
     e.add_argument("--format", choices=["text", "json"], default="text")
     e.set_defaults(func=cmd_enumerate)
 
     r = sub.add_parser("rewrite", help="collect a bracket expression into basic form")
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--budget", type=int, default=rewrite.DEFAULT_STEP_BUDGET)
+    r.add_argument("--n", type=_int_at_least(2), required=True)
+    r.add_argument("--budget", type=_int_at_least(0), default=rewrite.DEFAULT_STEP_BUDGET)
     r.add_argument("expr")
     r.set_defaults(func=cmd_rewrite)
 
@@ -270,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_table)
 
     m = sub.add_parser("compare", help="cross-method discrepancy report")
-    m.add_argument("--n", type=int, required=True)
-    m.add_argument("--d", type=int, required=True)
-    m.add_argument("--w-max", type=int, required=True)
+    m.add_argument("--n", type=_int_at_least(2), required=True)
+    m.add_argument("--d", type=_int_at_least(1), required=True)
+    m.add_argument("--w-max", type=_int_at_least(1), required=True)
     m.add_argument("--oracle-ceiling", type=int, default=DEFAULT_COMPARE_ORACLE_CEILING)
     m.set_defaults(func=cmd_compare)
 

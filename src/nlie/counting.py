@@ -105,11 +105,7 @@ def necklace_bound(n: int, d: int, w: int) -> int:
     the Witt formula exactly when n = 2."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError("necklace_bound requires n >= 2, d >= 1, w >= 1")
-    m = commutator_length(n, w)
-    s = sum(moebius(r) * d ** (m // r) for r in divisors(m))
-    q, rem = divmod(s, m)
-    assert rem == 0
-    return q
+    return witt(d, commutator_length(n, w))
 
 
 def count_weight2(n: int, d: int) -> int:
@@ -121,9 +117,7 @@ def count_weight2(n: int, d: int) -> int:
 
 def _ladder_coeffs(w: int) -> list[tuple[int, int]]:
     """(coefficient, lower index) pairs of the literal weight-w expansion
-    over C(n, i): coefficient of C(n, i) is C(w-3, i-1) for i = 1..w-2.
-    The traditional weight-10 line deviates from this pattern in one term;
-    see ladder_w10_literal."""
+    over C(n, i): coefficient of C(n, i) is C(w-3, i-1) for i = 1..w-2."""
     return [(comb(w - 3, i - 1), i) for i in range(1, w - 1)]
 
 
@@ -142,21 +136,6 @@ def ladder(n: int, w: int) -> int:
     if w <= 10:
         return sum(a * comb(n, i) for a, i in _ladder_coeffs(w))
     return comb(n + w - 3, w - 2)
-
-
-def ladder_w10_literal(n: int) -> int:
-    """A commonly quoted weight-10 expansion variant whose C(n,5) term
-    appears as 35*C(n,3); kept separate for the discrepancy report."""
-    return (
-        comb(n, 8)
-        + 7 * comb(n, 7)
-        + 21 * comb(n, 6)
-        + 35 * comb(n, 3)
-        + 35 * comb(n, 4)
-        + 21 * comb(n, 3)
-        + 7 * comb(n, 2)
-        + n
-    )
 
 
 def ladder_recursive(n: int, w: int) -> int:

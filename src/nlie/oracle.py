@@ -12,6 +12,13 @@ for distinct canonical monomials m_1 > ... > m_n and y_2 > ... > y_n
 distinct, ordered choices span everything).  Instances are generated at
 every hole position, not only the root.
 
+Rows are generated on integer ids.  The monomials of weights 1..w are
+interned in ascending term order (generator k is id k-1), so ids compare
+as terms do, and a bracket is found by the tuple of its children's ids.
+The Jacobi element of each (M, Y) is canonicalized once; plugging it into
+a context re-sorts only the brackets on the path from the hole to the
+root, each by inserting one id among siblings that are already sorted.
+
 The graded dimension is |monomials| - rank(instances), with rank computed
 by exact integer fraction-free elimination.  No floating point, no
 modular shortcuts.
@@ -19,16 +26,17 @@ modular shortcuts.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
+import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
-from .terms import Term, canonicalize, is_leaf, term_key, weight
+from .terms import distinct_descending, term_key, weight, weight_multisets
 
 DEFAULT_CEILING = 200_000
 
@@ -54,33 +62,16 @@ class MonomialBasis:
 class RelationMatrix:
     basis: MonomialBasis
     rows: list  # sparse integer rows: dict column -> coefficient
-    provenance: list  # (lhs term or None, hole path placeholder) per row
+    provenance: list  # ((M, Y) term tuples, context tree) per row
 
 
-def _weight_multisets(total: int, parts: int, cap: int):
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total - (parts - 1)), 0, -1):
-        for rest in _weight_multisets(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _distinct_descending(ws: tuple, pools: dict, n: int):
-    """Strictly descending tuples of distinct terms with the given
-    non-increasing weight profile, drawn from pools[w] (ascending)."""
-    runs = [(w, len(list(g))) for w, g in itertools.groupby(ws)]
-    per_run = []
-    for w, count in runs:
-        pool = pools[w]
-        if len(pool) < count:
-            return
-        per_run.append(
-            [tuple(reversed(c)) for c in itertools.combinations(pool, count)]
-        )
-    for pick in itertools.product(*per_run):
-        yield tuple(itertools.chain.from_iterable(pick))
+def _choices(total: int, parts: int, pools) -> list:
+    """Strictly descending tuples of `parts` monomials drawn from
+    pools[weight], with weights summing to `total`."""
+    out = []
+    for ws in weight_multisets(total, parts, total):
+        out.extend(distinct_descending(ws, pools))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -88,12 +79,8 @@ def _monomials(n: int, d: int, w: int) -> tuple:
     """All canonical nonzero monomials of weight w on d letters, ascending."""
     if w == 1:
         return tuple(range(1, d + 1))
-    out = []
-    for ws in _weight_multisets(w + n - 2, n, w - 1):
-        pools = {wc: _monomials(n, d, wc) for wc in set(ws)}
-        out.extend(_distinct_descending(ws, pools, n))
-    out.sort(key=lambda t: term_key(t, n))
-    return tuple(out)
+    pools = {wc: _monomials(n, d, wc) for wc in range(1, w)}
+    return tuple(sorted(_choices(w + n - 2, n, pools), key=lambda t: term_key(t, n)))
 
 
 def graded_monomials(
@@ -109,94 +96,108 @@ def graded_monomials(
     return MonomialBasis(n, d, w, list(ms), {t: i for i, t in enumerate(ms)})
 
 
-@lru_cache(maxsize=None)
 def _contexts(n: int, d: int, w: int, v: int) -> tuple:
     """Monomial trees of weight w with one hole standing for a weight-v
     subterm.  The hole is kept in the first slot of its bracket; sibling
-    order is irrelevant up to a global sign."""
-    out = []
+    order is irrelevant up to a global sign.  Not cached: rebuilding costs
+    milliseconds, and the trees are needed only while rows are built."""
     if w == v:
-        out.append(_HOLE)
-    if w > v:
-        for sub_w in range(v, w):
-            sib_total = w + n - 2 - sub_w
-            if sib_total < n - 1:
-                continue
-            for sib_ws in _weight_multisets(sib_total, n - 1, sib_total):
-                pools = {wc: _monomials(n, d, wc) for wc in set(sib_ws)}
-                for sibs in _distinct_descending(sib_ws, pools, n):
-                    for sub in _contexts(n, d, sub_w, v):
-                        out.append((sub,) + sibs)
+        return (_HOLE,)
+    out = []
+    pools = {wc: _monomials(n, d, wc) for wc in range(1, w)}
+    for sub_w in range(v, w):
+        sib_total = w + n - 2 - sub_w
+        if sib_total < n - 1:
+            continue
+        subs = _contexts(n, d, sub_w, v)
+        for sibs in _choices(sib_total, n - 1, pools):
+            for sub in subs:
+                out.append((sub,) + sibs)
     return tuple(out)
 
 
-def _plug(ctx, filling: Term) -> Term:
-    if ctx == _HOLE:
-        return filling
-    if is_leaf(ctx):
-        return ctx
-    return tuple(_plug(c, filling) for c in ctx)
+def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
+    """Canonicalize coeff times the bracket of the strictly descending ids
+    `sibs` with id x in raw slot `pos`: (coeff, id), coeff negated once per
+    slot x moves, or None when x equals a sibling (the bracket vanishes)."""
+    q = 0
+    for s in sibs:
+        if s <= x:
+            if s == x:
+                return None
+            break
+        q += 1
+    return (-coeff if (pos - q) & 1 else coeff), bracket[sibs[:q] + (x,) + sibs[q:]]
 
 
-def _jacobi_element(m_tuple: tuple, y_tuple: tuple) -> list[tuple[int, Term]]:
-    """(sign, term) pairs of the raw generalized-Jacobi element."""
-    n = len(m_tuple)
-    lhs = (tuple(m_tuple),) + y_tuple
-    out = [(1, lhs)]
-    for i in range(n):
-        inner = (m_tuple[i],) + y_tuple
-        out.append((-1, m_tuple[:i] + (inner,) + m_tuple[i + 1 :]))
-    return out
-
-
-def _instance_rows(n: int, d: int, w: int, basis: MonomialBasis):
-    rows = []
-    provenance = []
+def _instance_rows(n: int, d: int, w: int):
+    """Yield (row, provenance) for every nonzero relation row, in order."""
+    # weight v has the ids range(base[v], base[v + 1]); bracket: child ids -> id
+    terms, base, index, bracket = [], [0] * (w + 2), {}, {}
+    for v in range(1, w + 1):
+        base[v] = len(terms)
+        for t in _monomials(n, d, v):
+            if v > 1:
+                bracket[tuple(index[c] for c in t)] = len(terms)
+            if v < w:
+                index[t] = len(terms)
+            terms.append(t)
+    base[w + 1] = len(terms)
+    pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
+    # one shared int per column (as in basis.index), not one per row entry
+    column = {i: i - base[w] for i in pools[w]}
     for v in range(2, w + 1):
-        contexts = _contexts(n, d, w, v)
-        if not contexts:
-            continue
+        # each context with its sibling-id tuples, innermost level first
+        spines = []
+        for ctx in _contexts(n, d, w, v):
+            levels, sub = [], ctx
+            while sub != _HOLE:
+                levels.append(tuple(index[s] for s in sub[1:]))
+                sub = sub[0]
+            spines.append((ctx, levels[::-1]))
         # all (M, Y) with weight([[M], Y]) == v
         for wb in range(2, v):
-            m_total = wb + n - 2
-            y_total = v - wb + n - 2
-            m_choices = []
-            for ws in _weight_multisets(m_total, n, m_total):
-                pools = {wc: _monomials(n, d, wc) for wc in set(ws)}
-                m_choices.extend(_distinct_descending(ws, pools, n))
-            y_choices = []
-            for ws in _weight_multisets(y_total, n - 1, y_total):
-                pools = {wc: _monomials(n, d, wc) for wc in set(ws)}
-                y_choices.extend(_distinct_descending(ws, pools, n))
-            if not m_choices or not y_choices:
-                continue
-            for mt in m_choices:
-                for yt in y_choices:
-                    element = _jacobi_element(mt, yt)
-                    for ctx in contexts:
+            y_choices = [
+                (ys, tuple(terms[i] for i in ys))
+                for ys in _choices(v - wb + n - 2, n - 1, pools)
+            ]
+            for ms in _choices(wb + n - 2, n, pools):
+                mt = tuple(terms[i] for i in ms)
+                for ys, yt in y_choices:
+                    # [[M], Y] - sum_i [m_1,..,[m_i, Y],..,m_n] as {id: coeff}
+                    parts = [_put(bracket, 1, 0, bracket[ms], ys)]
+                    for i, m in enumerate(ms):
+                        inner = _put(bracket, -1, 0, m, ys)
+                        if inner is not None:
+                            rest = ms[:i] + ms[i + 1 :]
+                            parts.append(_put(bracket, inner[0], i, inner[1], rest))
+                    element: dict[int, int] = {}
+                    for part in filter(None, parts):
+                        coeff = element.get(part[1], 0) + part[0]
+                        if coeff:
+                            element[part[1]] = coeff
+                        else:
+                            del element[part[1]]
+                    for ctx, spine in spines:
                         row: dict[int, int] = {}
-                        for sgn, raw in element:
-                            s, ct = canonicalize(_plug(ctx, raw), n)
-                            if s == 0:
-                                continue
-                            col = basis.index[ct]
-                            coeff = row.get(col, 0) + sgn * s
-                            if coeff == 0:
-                                row.pop(col, None)
+                        for tid, coeff in element.items():
+                            for sibs in spine:
+                                hit = _put(bracket, coeff, 0, tid, sibs)
+                                if hit is None:
+                                    break
+                                coeff, tid = hit
                             else:
-                                row[col] = coeff
+                                row[column[tid]] = coeff
                         if row:
-                            rows.append(row)
-                            provenance.append(((tuple(mt), tuple(yt)), ctx))
-    return rows, provenance
+                            yield row, ((mt, yt), ctx)
 
 
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     basis = graded_monomials(n, d, w, ceiling=ceiling)
-    rows, provenance = _instance_rows(n, d, w, basis)
-    return RelationMatrix(basis, rows, provenance)
+    pairs = list(_instance_rows(n, d, w))
+    return RelationMatrix(basis, [row for row, _ in pairs], [prov for _, prov in pairs])
 
 
 class _Echelon:
@@ -251,15 +252,10 @@ class _Echelon:
 def _relation_space(n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING):
     basis = graded_monomials(n, d, w, ceiling=ceiling)
     ech = _Echelon()
-    rows, _ = _instance_rows(n, d, w, basis)
-    for row in rows:
+    # rows stream into the echelon; the full row list is never held
+    for row, _ in _instance_rows(n, d, w):
         ech.insert(row)
     return basis, ech
-
-
-def rank(n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING) -> int:
-    _, ech = _relation_space(n, d, w, ceiling)
-    return ech.rank
 
 
 def graded_dimension(
@@ -273,15 +269,16 @@ def graded_dimension(
 
     If `cache_dir` (or the environment variable NLIE_ORACLE_CACHE) names a
     directory, computed cells are stored there as one JSON record per
-    cell: {n, d, w, basis_size, rank, dim}."""
+    cell: {n, d, w, basis_size, rank, dim}.  A readable record of the same
+    cell is authoritative; an unreadable one, or one naming another cell,
+    is reported with a warning, recomputed and rewritten."""
     cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if cache_dir:
         cache_path = os.path.join(cache_dir, f"cell_n{n}_d{d}_w{w}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                rec = json.load(fh)
-            return rec["dim"]
+        dim = _read_cell(cache_path, n, d, w)
+        if dim is not None:
+            return dim
     basis, ech = _relation_space(n, d, w, ceiling)
     dim = len(basis.monomials) - ech.rank
     if cache_path:
@@ -294,9 +291,41 @@ def graded_dimension(
             "rank": ech.rank,
             "dim": dim,
         }
-        with open(cache_path, "w") as fh:
-            json.dump(rec, fh)
+        _write_cell(cache_path, rec)
     return dim
+
+
+def _read_cell(path: str, n: int, d: int, w: int) -> Optional[int]:
+    """The dim of a cell record, or None when there is no usable record
+    (with a warning when a bad one is there)."""
+    try:
+        with open(path) as fh:
+            rec = json.load(fh)
+        if [rec["n"], rec["d"], rec["w"]] == [n, d, w] and isinstance(rec["dim"], int):
+            return rec["dim"]
+        problem = f"is not a record of (n={n}, d={d}, w={w})"
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        problem = f"is unreadable ({exc!r})"
+    warnings.warn(f"oracle cache file {path} {problem}; recomputing", RuntimeWarning)
+    return None
+
+
+def _write_cell(path: str, rec: dict) -> None:
+    """Write a record to a temp file in the same directory, flushed to
+    disk, then rename it over `path`: readers see the old record or the
+    whole new one, never a truncated file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(rec, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # left behind only if a step above failed
+            os.unlink(tmp)
 
 
 def membership(
@@ -313,9 +342,7 @@ def membership(
     w = weights.pop()
     basis, ech = _relation_space(n, d, w, ceiling)
     # clear denominators to an integer vector
-    denom = 1
-    for c in lc.values():
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
+    denom = lcm(*(Fraction(c).denominator for c in lc.values()))
     row: dict[int, int] = {}
     for t, c in lc.items():
         if t not in basis.index:

@@ -68,15 +68,17 @@ def _replace(t: Term, path: tuple, new: Term) -> Term:
     return t[:i] + (_replace(t[i], path[1:], new),) + t[i + 1 :]
 
 
-def _jacobi_terms(node: Term, n: int) -> list[Term]:
-    """RHS of the generalized Jacobi identity for a node whose first child
-    is a bracket."""
+def _jacobi_terms(t: Term, path: tuple, n: int):
+    """Canonical nonzero (sign, term) summands of t with the node at `path`
+    (a bracket whose first child is a bracket) replaced by the RHS of the
+    generalized Jacobi identity."""
+    node = _subterm(t, path)
     head, ys = node[0], node[1:]
-    out = []
     for i in range(n):
-        inner = (head[i],) + ys
-        out.append(head[:i] + (inner,) + head[i + 1 :])
-    return out
+        summand = head[:i] + ((head[i],) + ys,) + head[i + 1 :]
+        s, ct = canonicalize(_replace(t, path, summand), n)
+        if s != 0:
+            yield s, ct
 
 
 def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
@@ -90,10 +92,8 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
             f"node at {path!r} is not a bracket with a bracket in its first slot"
         )
     lc: dict = {}
-    for summand in _jacobi_terms(node, n):
-        s, ct = canonicalize(_replace(t, path, summand), n)
-        if s != 0:
-            lc_add(lc, ct, Fraction(s))
+    for s, ct in _jacobi_terms(t, path, n):
+        lc_add(lc, ct, Fraction(s))
     return lc
 
 
@@ -144,11 +144,8 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
             break
         steps += 1
         before = len(work) + 1
-        node = _subterm(u, path)
-        for summand in _jacobi_terms(node, n):
-            ss, cs = canonicalize(_replace(u, path, summand), n)
-            if ss != 0:
-                lc_add(work, cs, c * ss)
+        for ss, cs in _jacobi_terms(u, path, n):
+            lc_add(work, cs, c * ss)
         trace.record(JACOBI, path, before, len(work))
     return out, trace
 

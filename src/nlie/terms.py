@@ -20,6 +20,7 @@ occurrences) of any weight-w term is n + (w - 2)(n - 1).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -120,14 +121,12 @@ def length(t: Term) -> int:
 def term_key(t: Term, n: int):
     """A sort key realizing the term order: weight first, then generator
     index for leaves, then children compared right-to-left (recursively)
-    for equal-weight brackets."""
+    for equal-weight brackets.  A key's first entry is the term's weight,
+    so one pass over the tree computes both."""
     if is_leaf(t):
         return (1, 0, t)
-    return (
-        weight(t, n),
-        1,
-        tuple(term_key(c, n) for c in reversed(t)),
-    )
+    keys = tuple(term_key(c, n) for c in reversed(t))
+    return (sum(k[0] for k in keys) - (n - 2), 1, keys)
 
 
 def compare(a: Term, b: Term, n: int) -> int:
@@ -145,51 +144,82 @@ class SignedTerm(NamedTuple):
     term: Optional[Term]  # None iff sign == 0
 
 
-def _permutation_parity(order: list[int]) -> int:
-    """Sign of the permutation given as a list of source indices."""
-    seen = [False] * len(order)
+def _canonical(t: Term, n: int):
+    """(sign, canonical term, its term_key), or (0, None, None) if t
+    vanishes.  Children's keys are reused for the parent's key."""
+    if is_leaf(t):
+        return 1, t, (1, 0, t)
     sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        # walk the cycle containing i
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    kids = []
+    keys = []
+    for c in t:
+        s, cc, k = _canonical(c, n)
+        if s == 0:
+            return 0, None, None
+        sign *= s
+        kids.append(cc)
+        keys.append(k)
+    # each pair out of descending order flips the sign of the sort
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            if a == b:
+                return 0, None, None
+            if a < b:
+                sign = -sign
+    order = sorted(range(len(kids)), key=keys.__getitem__, reverse=True)
+    ascending = tuple(keys[i] for i in reversed(order))
+    key = (sum(k[0] for k in keys) - (n - 2), 1, ascending)
+    ordered = tuple(kids[i] for i in order)
+    # a canonical t is returned itself, so results share canonical subterms
+    return sign, (t if ordered == t else ordered), key
 
 
 def canonicalize(t: Term, n: int) -> SignedTerm:
     """Sort the children of every bracket strictly descending, tracking the
     sign of the permutation; sign 0 means the term vanished (two equal
     children somewhere)."""
-    if is_leaf(t):
-        return SignedTerm(1, t)
-    sign = 1
-    kids = []
-    for c in t:
-        s, cc = canonicalize(c, n)
-        if s == 0:
-            return SignedTerm(0, None)
-        sign *= s
-        kids.append(cc)
-    keys = [term_key(c, n) for c in kids]
-    order = sorted(range(len(kids)), key=lambda i: keys[i], reverse=True)
-    sorted_keys = [keys[i] for i in order]
-    for a, b in zip(sorted_keys, sorted_keys[1:]):
-        if a == b:
-            return SignedTerm(0, None)
-    sign *= _permutation_parity(order)
-    return SignedTerm(sign, tuple(kids[i] for i in order))
+    s, ct, _ = _canonical(t, n)
+    return SignedTerm(s, ct)
 
 
 def is_canonical(t: Term, n: int) -> bool:
     s, ct = canonicalize(t, n)
     return s == 1 and ct == t
+
+
+# ---------------------------------------------------------------------------
+# Child tuples of canonical brackets, by weight profile.
+
+
+def weight_multisets(total: int, parts: int, cap: int):
+    """Non-increasing compositions of `total` into `parts` parts, each in
+    [1, cap]."""
+    if parts == 1:
+        if 1 <= total <= cap:
+            yield (total,)
+        return
+    for first in range(min(cap, total - (parts - 1)), 0, -1):
+        for rest in weight_multisets(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def distinct_descending(ws: tuple, pools):
+    """All strictly descending child tuples whose weights are exactly `ws`
+    (non-increasing), children drawn from pools[w] (each pool ascending in
+    the term order).  Within a run of equal weights children are chosen as
+    a strictly descending combination; across different weights descent
+    is automatic."""
+    per_run = []
+    for w, group in itertools.groupby(ws):
+        count = len(list(group))
+        pool = pools[w]
+        if len(pool) < count:
+            return
+        per_run.append(
+            [tuple(reversed(c)) for c in itertools.combinations(pool, count)]
+        )
+    for pick in itertools.product(*per_run):
+        yield tuple(itertools.chain.from_iterable(pick))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +241,6 @@ def lc_add(lc: dict, t: Term, coeff) -> None:
 def lc_merge(lc: dict, other: dict, scale=1) -> None:
     for t, c in other.items():
         lc_add(lc, t, c * scale)
-
-
-def lc_scaled(lc: dict, scale) -> dict:
-    if scale == 0:
-        return {}
-    return {t: c * scale for t, c in lc.items()}
 
 
 def lc_from_term(t: Term, n: int, coeff=1) -> dict:

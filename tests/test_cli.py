@@ -169,6 +169,28 @@ def test_discrepancy_flag_mechanism_synthetic():
     assert flags == ["EQ14=0 vs WITT=2"]
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["count", "--n", "1", "--d", "2", "--w", "3", "--method", "oracle"], "--n"),
+        (["count", "--n", "2", "--d", "0", "--w", "3", "--method", "witt"], "--d"),
+        (["count", "--n", "2", "--d", "2", "--w", "0", "--method", "witt"], "--w"),
+        (["enumerate", "--n", "1", "--d", "2", "--w", "3"], "--n"),
+        (["rewrite", "--n", "2", "--budget", "-1", "[x1,x2]"], "--budget"),
+        (["rewrite", "--n", "1", "x1"], "--n"),
+        (["compare", "--n", "2", "--d", "2", "--w-max", "0"], "--w-max"),
+    ],
+)
+def test_out_of_range_arguments_rejected_in_one_line(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code != 0
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"argument {option}: must be >=" in err
+
+
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

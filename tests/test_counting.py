@@ -11,7 +11,6 @@ from nlie.counting import (
     divisors,
     ladder,
     ladder_recursive,
-    ladder_w10_literal,
     lcs_quotient_dim,
     lie_expansion,
     moebius,
@@ -87,14 +86,6 @@ def test_ladder_recursive_agrees():
     for n in range(3, 7):
         for w in range(1, 9):
             assert ladder_recursive(n, w) == ladder(n, w)
-
-
-def test_ladder_w10_literal_deviates():
-    # the as-printed weight-10 expansion disagrees with the closed form
-    assert ladder_w10_literal(3) == 80
-    assert ladder(3, 10) == 45
-    for n in range(3, 7):
-        assert ladder_w10_literal(n) != ladder(n, 10)
 
 
 def test_weight3_closed_form_values():

@@ -15,7 +15,15 @@ from nlie.oracle import (
     relation_rows,
 )
 from nlie.rewrite import collect
-from nlie.terms import canonicalize, is_canonical, lc_merge, term_key, weight
+from nlie.terms import (
+    canonicalize,
+    distinct_descending,
+    is_canonical,
+    lc_merge,
+    term_key,
+    weight,
+    weight_multisets,
+)
 
 
 def test_monomials_weight1_and_2():
@@ -75,6 +83,73 @@ def test_relation_rows_are_integer_and_in_range():
 def test_relation_rows_have_provenance():
     rm = relation_rows(2, 2, 3)
     assert len(rm.provenance) == len(rm.rows)
+
+
+def _plug(ctx, filling):
+    if ctx == oracle._HOLE:
+        return filling
+    if isinstance(ctx, int):
+        return ctx
+    return tuple(_plug(c, filling) for c in ctx)
+
+
+def _reference_rows(n, d, w):
+    """Relation rows and provenance by the whole-tree path: plug every raw
+    generalized-Jacobi term into every context tree, canonicalize the
+    whole result, and accumulate it by column."""
+    index = graded_monomials(n, d, w).index
+
+    def choices(total, parts):
+        out = []
+        for ws in weight_multisets(total, parts, total):
+            pools = {wc: graded_monomials(n, d, wc).monomials for wc in set(ws)}
+            out.extend(distinct_descending(ws, pools))
+        return out
+
+    rows, provenance = [], []
+    for v in range(2, w + 1):
+        contexts = oracle._contexts(n, d, w, v)
+        for wb in range(2, v):
+            for mt in choices(wb + n - 2, n):
+                for yt in choices(v - wb + n - 2, n - 1):
+                    element = [(1, (mt,) + yt)] + [
+                        (-1, mt[:i] + ((mt[i],) + yt,) + mt[i + 1 :])
+                        for i in range(n)
+                    ]
+                    for ctx in contexts:
+                        row = {}
+                        for sgn, raw in element:
+                            s, ct = canonicalize(_plug(ctx, raw), n)
+                            if s == 0:
+                                continue
+                            col = index[ct]
+                            coeff = row.get(col, 0) + sgn * s
+                            if coeff == 0:
+                                row.pop(col, None)
+                            else:
+                                row[col] = coeff
+                        if row:
+                            rows.append(row)
+                            provenance.append(((mt, yt), ctx))
+    return rows, provenance
+
+
+@pytest.mark.parametrize(
+    "cell", [(2, 2, 6), (2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)]
+)
+def test_relation_rows_match_whole_tree_reference(cell):
+    rm = relation_rows(*cell)
+    rows, provenance = _reference_rows(*cell)
+    assert rm.rows == rows
+    assert rm.provenance == provenance
+
+
+@pytest.mark.parametrize(
+    "cell, count",
+    [((2, 2, 8), 633), ((2, 3, 6), 1326), ((3, 3, 6), 363), ((4, 5, 4), 1000)],
+)
+def test_relation_row_counts_frozen(cell, count):
+    assert len(relation_rows(*cell).rows) == count
 
 
 def test_membership_of_jacobi_instances():
@@ -159,6 +234,27 @@ def test_json_cell_cache_roundtrip(tmp_path):
     rec["dim"] = 999
     files[0].write_text(json.dumps(rec))
     assert graded_dimension(2, 2, 4, cache_dir=d) == 999
+
+
+def test_truncated_cache_record_is_recomputed(tmp_path):
+    path = tmp_path / "cell_n2_d2_w5.json"
+    assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+    path.write_text(path.read_text()[:10])
+    with pytest.warns(RuntimeWarning, match="is unreadable"):
+        assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+    assert json.loads(path.read_text())["dim"] == 6
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_record_of_another_cell_is_recomputed(tmp_path):
+    path = tmp_path / "cell_n2_d2_w5.json"
+    rec = {"n": 2, "d": 2, "w": 4, "basis_size": 4, "rank": 1, "dim": 3}
+    path.write_text(json.dumps(rec))
+    with pytest.warns(RuntimeWarning, match="not a record of"):
+        assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+    rec = json.loads(path.read_text())
+    assert (rec["n"], rec["d"], rec["w"], rec["dim"]) == (2, 2, 5, 6)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
