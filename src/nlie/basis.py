@@ -1,22 +1,28 @@
 """The basic-commutator predicate and exhaustive enumeration.
 
-Two readings of the rules are implemented:
+One recursive definition serves both: a generator is basic, and a
+canonical bracket is basic when all its children are basic and it passes
+the local rule of the chosen reading.  `is_basic` checks this top-down;
+the enumerator builds exactly these brackets weight by weight with
+`terms.canonical_brackets`, keeping a candidate when its rule holds.  The
+canonical order already gives non-increasing child weights, strict
+descent among equal weights, and children lighter than the bracket.
 
-* FULL_RULE3 -- the literal recursive predicate: a bracket is basic if all
-  children are basic, child weights are non-increasing and all smaller
-  than the total weight, equal-weight children are strictly descending,
-  and at every weight descent where the heavier child is a bracket, its
-  last component is <= the last child of the outer bracket.
+Two rules are implemented:
 
-* LEFT_NORMED -- only left-normed shapes are basic: a weight-2 core
-  bracket of strictly descending generators, repeatedly bracketed with
-  tails of n-1 strictly descending generators.  Successive tails must
-  form a non-decreasing chain under the tuple order (compare at the first
-  difference moving right-to-left), starting at the core's own tail.
-  This is the reading whose n=d counts match the closed-form ladder
-  (weight-3 commutators on n letters number n, weight-w number
-  C(n+w-3, w-2)); the literal FULL_RULE3 reading over-counts from
-  weight 4 on (7 vs 6 at n=d=3, w=4).
+* FULL_RULE3 -- the literal rule: at every weight descent where the
+  heavier child is a bracket, its last component is <= the last child of
+  the outer bracket.
+
+* LEFT_NORMED -- only left-normed shapes: a core of n strictly descending
+  generators, or a bracket head followed by a tail of n-1 generators that
+  is >= the head's own tail under the tuple order (compare at the first
+  difference moving right-to-left).  Successive tails thus form a
+  non-decreasing chain starting at the core's own tail.  This is the
+  reading whose n=d counts match the closed-form ladder (weight-3
+  commutators on n letters number n, weight-w number C(n+w-3, w-2)); the
+  literal FULL_RULE3 reading over-counts from weight 4 on (7 vs 6 at
+  n=d=3, w=4).
 
 For n=2 and weight <= 3 the two readings coincide.
 """
@@ -31,12 +37,11 @@ from typing import NamedTuple
 
 from .terms import (
     Term,
-    distinct_descending,
+    canonical_brackets,
     is_canonical,
     is_leaf,
     term_key,
     weight,
-    weight_multisets,
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -62,37 +67,6 @@ def _tuple_key(leaves: tuple) -> tuple:
     return tuple(reversed(leaves))
 
 
-def _is_left_normed_basic(t: Term, n: int) -> bool:
-    if is_leaf(t):
-        return True
-    if all(is_leaf(c) for c in t):
-        # weight-2 core; canonical form already gives strict descent
-        return True
-    head, tail = t[0], t[1:]
-    if is_leaf(head) or not all(is_leaf(c) for c in tail):
-        return False
-    if not _is_left_normed_basic(head, n):
-        return False
-    # chain condition: this tail must be >= the previous tail (for the
-    # core, its last n-1 generators) under the right-to-left tuple order
-    return _tuple_key(tail) >= _tuple_key(head[1:])
-
-
-def _is_full_rule3_basic(t: Term, n: int) -> bool:
-    if is_leaf(t):
-        return True
-    if all(is_leaf(c) for c in t):
-        return True
-    kws = [weight(c, n) for c in t]
-    if max(kws) >= sum(kws) - (n - 2):  # a child as heavy as t itself
-        return False
-    # canonical order already gives non-increasing weights and strict
-    # descent among equal weights; children must be recursively basic
-    if not all(_is_full_rule3_basic(c, n) for c in t):
-        return False
-    return _descent_rule(t, kws, n)
-
-
 def _descent_rule(t: tuple, kws, n: int) -> bool:
     """At every weight descent where the heavier child (weights `kws`) is
     a bracket, its last component is <= the last child of t."""
@@ -104,15 +78,36 @@ def _descent_rule(t: tuple, kws, n: int) -> bool:
     return True
 
 
+def _chain_rule(t: tuple, kws, n: int) -> bool:
+    """A core of generators, or a bracket head followed by n-1 generators
+    whose tail is >= the head's own tail in the right-to-left tuple
+    order."""
+    if kws[1] > 1:  # weights are non-increasing: a bracket past the head
+        return False
+    return is_leaf(t[0]) or _tuple_key(t[1:]) >= _tuple_key(t[0][1:])
+
+
+_RULES = {
+    EnumerationMode.FULL_RULE3: _descent_rule,
+    EnumerationMode.LEFT_NORMED: _chain_rule,
+}
+
+
+def _is_basic(t: Term, n: int, rule) -> bool:
+    if is_leaf(t):
+        return True
+    if not all(_is_basic(c, n, rule) for c in t):
+        return False
+    return rule(t, [weight(c, n) for c in t], n)
+
+
 def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3) -> bool:
     """Whether the canonical term t is a basic commutator under `mode`.
 
     Raises ValueError on non-canonical input."""
     if not is_canonical(t, n):
         raise ValueError(f"not a canonical term: {t!r}")
-    if mode is EnumerationMode.LEFT_NORMED:
-        return _is_left_normed_basic(t, n)
-    return _is_full_rule3_basic(t, n)
+    return _is_basic(t, n, _RULES[mode])
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +115,11 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
 
 
 @lru_cache(maxsize=None)
-def _full_basics(n: int, d: int, w: int) -> tuple:
-    """Ascending tuple of FULL_RULE3 basic terms of weight w on d letters."""
-    if w == 1:
-        return tuple(range(1, d + 1))
-    if d < n:
-        return ()
-    out = []
-    needed = {}
-    for ws in weight_multisets(w + n - 2, n, w - 1):
-        for wc in set(ws):
-            if wc not in needed:
-                needed[wc] = _full_basics(n, d, wc)
-        for t in distinct_descending(ws, needed):
-            if _descent_rule(t, ws, n):
-                out.append(t)
-    out.sort(key=lambda t: term_key(t, n))
-    return tuple(out)
+def _basics(n: int, d: int, w: int, mode: EnumerationMode) -> tuple:
+    """Ascending tuple of the basic terms of weight w on d letters."""
+    rule = _RULES[mode]
+    terms, base, _ = canonical_brackets(n, d, w, keep=lambda t, ws: rule(t, ws, n))
+    return tuple(terms[base[w] :])
 
 
 def _cores_and_tails(n: int, d: int):
@@ -151,21 +134,6 @@ def _cores_and_tails(n: int, d: int):
         core = tuple(reversed(c))
         start = _tuple_key(core[1:])
         yield core, [s for s in tails if _tuple_key(s) >= start]
-
-
-@lru_cache(maxsize=None)
-def _left_normed_basics(n: int, d: int, w: int) -> tuple:
-    if w == 1:
-        return tuple(range(1, d + 1))
-    out = []
-    for core, allowed in _cores_and_tails(n, d):
-        for chain in itertools.combinations_with_replacement(allowed, w - 2):
-            t: Term = core
-            for tail in chain:
-                t = (t,) + tail
-            out.append(t)
-    out.sort(key=lambda t: term_key(t, n))
-    return tuple(out)
 
 
 def enumerate_basic(
@@ -184,12 +152,8 @@ def enumerate_basic(
         raise EnumerationCapExceeded(
             f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
         )
-    if mode is EnumerationMode.LEFT_NORMED:
-        ts = _left_normed_basics(n, d, w)
-    else:
-        ts = _full_basics(n, d, w)
     m = n + (w - 2) * (n - 1) if w >= 2 else 1
-    return [BasicCommutator(t, w, m) for t in ts]
+    return [BasicCommutator(t, w, m) for t in _basics(n, d, w, mode)]
 
 
 def count_by_enumeration(
@@ -211,4 +175,4 @@ def count_by_enumeration(
         # combinatorial count: per core, a multiset of w-2 allowed tails
         cores = _cores_and_tails(n, d)
         return sum(comb(len(allowed) + w - 3, w - 2) for _, allowed in cores)
-    return len(_full_basics(n, d, w))
+    return len(_basics(n, d, w, mode))

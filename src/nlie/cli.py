@@ -131,10 +131,7 @@ def _table3_rows():
 def _table4_rows():
     yield ["w"] + [str(n) for n in range(2, 11)]
     for w in range(1, 11):
-        row = [str(w)]
-        for n in range(2, 11):
-            row.append(str(counting.witt(2, w) if n == 2 else counting.ladder(n, w)))
-        yield row
+        yield [str(w)] + [str(counting.ladder(n, w)) for n in range(2, 11)]
 
 
 def _table5_rows():

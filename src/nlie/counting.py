@@ -123,18 +123,15 @@ def _ladder_coeffs(w: int) -> list[tuple[int, int]]:
 
 def ladder(n: int, w: int) -> int:
     """Number of basic commutators at n = d.  Closed form C(n+w-3, w-2)
-    for w >= 2; w = 1 gives n.  n = 2 is routed to the Witt formula (the
-    ladder expansions fail there from weight 5 on)."""
+    for w >= 2, which the literal expansion sum_i C(w-3, i-1) C(n, i)
+    equals by Vandermonde's identity; w = 1 gives n.  n = 2 is routed to
+    the Witt formula (the ladder expansions fail there from weight 5 on)."""
     if n < 2 or w < 1:
         raise ValueError("ladder requires n >= 2, w >= 1")
     if n == 2:
         return witt(2, w)
     if w == 1:
         return n
-    if w == 2:
-        return 1
-    if w <= 10:
-        return sum(a * comb(n, i) for a, i in _ladder_coeffs(w))
     return comb(n + w - 3, w - 2)
 
 

@@ -12,12 +12,11 @@ for distinct canonical monomials m_1 > ... > m_n and y_2 > ... > y_n
 distinct, ordered choices span everything).  Instances are generated at
 every hole position, not only the root.
 
-Rows are generated on integer ids.  The monomials of weights 1..w are
-interned in ascending term order (generator k is id k-1), so ids compare
-as terms do, and a bracket is found by the tuple of its children's ids.
-The Jacobi element of each (M, Y) is canonicalized once; plugging it into
-a context re-sorts only the brackets on the path from the hole to the
-root, each by inserting one id among siblings that are already sorted.
+Rows are generated on the integer ids of `terms.canonical_brackets`,
+which compare as terms do.  The Jacobi element of each (M, Y) is
+canonicalized once; plugging it into a context re-sorts only the brackets
+on the path from the hole to the root, each by inserting one id among
+siblings that are already sorted.
 
 The graded dimension is |monomials| - rank(instances), with rank computed
 by exact integer fraction-free elimination.  No floating point, no
@@ -36,7 +35,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
-from .terms import distinct_descending, term_key, weight, weight_multisets
+from .terms import canonical_brackets, distinct_descending, weight, weight_multisets
 
 DEFAULT_CEILING = 200_000
 
@@ -75,12 +74,11 @@ def _choices(total: int, parts: int, pools) -> list:
 
 
 @lru_cache(maxsize=None)
-def _monomials(n: int, d: int, w: int) -> tuple:
-    """All canonical nonzero monomials of weight w on d letters, ascending."""
-    if w == 1:
-        return tuple(range(1, d + 1))
-    pools = {wc: _monomials(n, d, wc) for wc in range(1, w)}
-    return tuple(sorted(_choices(w + n - 2, n, pools), key=lambda t: term_key(t, n)))
+def _monomials(n: int, d: int, w: int) -> dict:
+    """All canonical nonzero monomials of weight w on d letters, ascending,
+    each mapped to its position."""
+    terms, base, _ = canonical_brackets(n, d, w)
+    return {t: i for i, t in enumerate(terms[base[w] :])}
 
 
 def graded_monomials(
@@ -93,7 +91,7 @@ def graded_monomials(
         raise InstanceCeilingExceeded(
             f"{len(ms)} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
         )
-    return MonomialBasis(n, d, w, list(ms), {t: i for i, t in enumerate(ms)})
+    return MonomialBasis(n, d, w, list(ms), dict(ms))
 
 
 def _contexts(n: int, d: int, w: int, v: int) -> tuple:
@@ -132,17 +130,9 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
 
 def _instance_rows(n: int, d: int, w: int):
     """Yield (row, provenance) for every nonzero relation row, in order."""
-    # weight v has the ids range(base[v], base[v + 1]); bracket: child ids -> id
-    terms, base, index, bracket = [], [0] * (w + 2), {}, {}
-    for v in range(1, w + 1):
-        base[v] = len(terms)
-        for t in _monomials(n, d, v):
-            if v > 1:
-                bracket[tuple(index[c] for c in t)] = len(terms)
-            if v < w:
-                index[t] = len(terms)
-            terms.append(t)
-    base[w + 1] = len(terms)
+    terms, base, bracket = canonical_brackets(n, d, w)
+    # the id of each context sibling, all lighter than w
+    index = {t: i for i, t in enumerate(terms[: base[w]])}
     pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
     # one shared int per column (as in basis.index), not one per row entry
     column = {i: i - base[w] for i in pools[w]}
@@ -249,13 +239,15 @@ class _Echelon:
 
 
 @lru_cache(maxsize=None)
-def _relation_space(n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING):
-    basis = graded_monomials(n, d, w, ceiling=ceiling)
+def _relation_space(n: int, d: int, w: int) -> _Echelon:
+    """The echelon of a cell's relations.  Keyed on the cell alone, so a
+    cell is built once whatever ceilings ask for it: callers check their
+    ceiling first, with graded_monomials."""
     ech = _Echelon()
     # rows stream into the echelon; the full row list is never held
     for row, _ in _instance_rows(n, d, w):
         ech.insert(row)
-    return basis, ech
+    return ech
 
 
 def graded_dimension(
@@ -279,7 +271,8 @@ def graded_dimension(
         dim = _read_cell(cache_path, n, d, w)
         if dim is not None:
             return dim
-    basis, ech = _relation_space(n, d, w, ceiling)
+    basis = graded_monomials(n, d, w, ceiling=ceiling)
+    ech = _relation_space(n, d, w)
     dim = len(basis.monomials) - ech.rank
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
@@ -340,7 +333,8 @@ def membership(
     if len(weights) != 1:
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
-    basis, ech = _relation_space(n, d, w, ceiling)
+    basis = graded_monomials(n, d, w, ceiling=ceiling)
+    ech = _relation_space(n, d, w)
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
     row: dict[int, int] = {}

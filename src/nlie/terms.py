@@ -222,6 +222,40 @@ def distinct_descending(ws: tuple, pools):
         yield tuple(itertools.chain.from_iterable(pick))
 
 
+def canonical_brackets(n: int, d: int, w: int, keep=None):
+    """The canonical nonzero brackets of weights 1..w on d letters, interned
+    as integer ids: (terms, base, bracket).
+
+    terms[i] is the term with id i.  Ids ascend in the term order, so
+    comparing ids compares terms: generator k has id k-1 and weight v has
+    the ids range(base[v], base[v + 1]).  bracket maps the strictly
+    descending tuple of a bracket's child ids to its id.  Weight v is built
+    from children kept at lower weights and ordered by its child ids read
+    right to left, which is the term order on equal-weight brackets.
+
+    With `keep`, a weight-v candidate t (child weights `ws`) is kept only
+    when keep(t, ws) holds, so every kept bracket has kept children."""
+    terms = list(range(1, d + 1))
+    base = [0] * (w + 2)
+    bracket: dict = {}
+    pools = {1: range(d)}
+    for v in range(2, w + 1):
+        found = []
+        for ws in weight_multisets(v + n - 2, n, v - 1):
+            for ids in distinct_descending(ws, pools):
+                t = tuple(terms[i] for i in ids)
+                if keep is None or keep(t, ws):
+                    found.append((ids, t))
+        found.sort(key=lambda pair: pair[0][::-1])
+        base[v] = len(terms)
+        for ids, t in found:
+            bracket[ids] = len(terms)
+            terms.append(t)
+        pools[v] = range(base[v], len(terms))
+    base[w + 1] = len(terms)
+    return terms, base, bracket
+
+
 # ---------------------------------------------------------------------------
 # Linear combinations: plain dicts mapping canonical terms to exact rationals.
 # No zero coefficients are ever stored.

@@ -9,6 +9,7 @@ from nlie.basis import (
     enumerate_basic,
     is_basic,
 )
+from nlie.oracle import graded_monomials
 from nlie.terms import is_canonical, term_key
 
 FULL = EnumerationMode.FULL_RULE3
@@ -90,6 +91,14 @@ def test_enumerate_sorted_canonical_and_basic():
                 assert is_basic(bc.term, n, mode)
                 assert bc.weight == w
                 assert bc.length == n + (w - 2) * (n - 1)
+
+
+@pytest.mark.parametrize("mode", [FULL, LEFT])
+@pytest.mark.parametrize("cell", [(2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)])
+def test_every_basic_monomial_is_enumerated(cell, mode):
+    n = cell[0]
+    basic = [t for t in graded_monomials(*cell).monomials if is_basic(t, n, mode)]
+    assert basic == [bc.term for bc in enumerate_basic(*cell, mode)]
 
 
 def test_left_normed_chain_condition():

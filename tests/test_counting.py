@@ -75,6 +75,9 @@ def test_ladder_closed_form():
         assert ladder(n, 2) == 1
         for w in range(3, 13):
             assert ladder(n, w) == comb(n + w - 3, w - 2)
+            # the literal expansion over C(n, i) (table 3) sums to the same
+            literal = sum(a * comb(n, i) for a, i in counting._ladder_coeffs(w))
+            assert literal == comb(n + w - 3, w - 2)
 
 
 def test_ladder_routes_n2_to_witt():

@@ -208,6 +208,20 @@ def test_ceiling_enforced():
         graded_dimension(2, 3, 6, ceiling=5)
 
 
+def test_relation_space_built_once_per_cell_whatever_the_ceiling():
+    oracle._relation_space.cache_clear()
+    graded_dimension(2, 2, 6, ceiling=2000)
+    t = graded_monomials(2, 2, 6).monomials[0]
+    membership({t: Fraction(1)}, 2, 2)
+    info = oracle._relation_space.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # a cached cell is still refused under a smaller ceiling
+    with pytest.raises(InstanceCeilingExceeded):
+        graded_dimension(2, 2, 6, ceiling=5)
+    with pytest.raises(InstanceCeilingExceeded):
+        membership({t: Fraction(1)}, 2, 2, ceiling=5)
+
+
 def test_bad_instance_rejected():
     with pytest.raises(ValueError):
         graded_monomials(1, 2, 2)

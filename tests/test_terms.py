@@ -8,6 +8,7 @@ from nlie import terms
 from nlie.terms import (
     ArityError,
     TermSyntaxError,
+    canonical_brackets,
     canonicalize,
     compare,
     format_term,
@@ -167,3 +168,22 @@ def test_lc_format():
     assert lc_format({(3, 2, 1): Fraction(-1)}, 3) == "-1*[x3,x2,x1]"
     out = lc_format({(2, 1): Fraction(1, 2), (3, 1): Fraction(-2)}, 2)
     assert out == "+1/2*[x2,x1] -2*[x3,x1]"
+
+
+@pytest.mark.parametrize("cell", [(2, 3, 6), (3, 4, 4), (4, 5, 4), (5, 6, 3)])
+def test_canonical_brackets_ids_follow_term_order(cell):
+    n, d, w = cell
+    terms_by_id, base, bracket = canonical_brackets(n, d, w)
+    assert terms_by_id[:d] == list(range(1, d + 1))
+    assert base[1] == 0 and base[w + 1] == len(terms_by_id)
+    assert all(is_canonical(t, n) for t in terms_by_id)
+    keys = [term_key(t, n) for t in terms_by_id]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    index = {t: i for i, t in enumerate(terms_by_id)}
+    for v in range(1, w + 1):
+        for i in range(base[v], base[v + 1]):
+            assert weight(terms_by_id[i], n) == v
+    assert len(bracket) == len(terms_by_id) - d
+    for ids, i in bracket.items():
+        assert terms_by_id[i] == tuple(terms_by_id[c] for c in ids)
+        assert bracket[tuple(index[c] for c in terms_by_id[i])] == i
