@@ -104,8 +104,16 @@ def cmd_rewrite(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    lc, trace = rewrite.collect(t, args.n, cap=args.budget)
-    print(terms.lc_format(lc, args.n))
+    except RecursionError:
+        print("parse error: term nested too deeply", file=sys.stderr)
+        return 1
+    try:
+        lc, trace = rewrite.collect(t, args.n, cap=args.budget)
+        text = terms.lc_format(lc, args.n)
+    except RecursionError:
+        print("error: term nested too deeply to collect", file=sys.stderr)
+        return 1
+    print(text)
     if trace.capped:
         print("warning: step budget exhausted; residual terms may be non-basic", file=sys.stderr)
         return 2
@@ -262,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=_int_at_least(1), required=True)
     c.add_argument("--w", type=_int_at_least(1), required=True)
     c.add_argument("--method", choices=sorted(_METHOD_NAMES), required=True)
-    c.add_argument("--oracle-ceiling", type=int, default=DEFAULT_COMPARE_ORACLE_CEILING)
+    c.add_argument(
+        "--oracle-ceiling", type=_int_at_least(0), default=DEFAULT_COMPARE_ORACLE_CEILING
+    )
     c.set_defaults(func=cmd_count)
 
     e = sub.add_parser("enumerate", help="list basic commutators")
@@ -287,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=_int_at_least(2), required=True)
     m.add_argument("--d", type=_int_at_least(1), required=True)
     m.add_argument("--w-max", type=_int_at_least(1), required=True)
-    m.add_argument("--oracle-ceiling", type=int, default=DEFAULT_COMPARE_ORACLE_CEILING)
+    m.add_argument(
+        "--oracle-ceiling", type=_int_at_least(0), default=DEFAULT_COMPARE_ORACLE_CEILING
+    )
     m.set_defaults(func=cmd_compare)
 
     return p

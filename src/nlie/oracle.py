@@ -12,11 +12,14 @@ for distinct canonical monomials m_1 > ... > m_n and y_2 > ... > y_n
 distinct, ordered choices span everything).  Instances are generated at
 every hole position, not only the root.
 
-Rows are generated on the integer ids of `terms.canonical_brackets`,
-which compare as terms do.  The Jacobi element of each (M, Y) is
-canonicalized once; plugging it into a context re-sorts only the brackets
-on the path from the hole to the root, each by inserting one id among
-siblings that are already sorted.
+Rows are generated on the integer ids of one `terms.canonical_brackets`
+build, which compare as terms do.  Contexts come from the same build: each
+is the tuple of sibling-id tuples on the path from the hole to the root.
+The Jacobi element of each (M, Y) is canonicalized once; plugging it into
+a context re-sorts only the brackets on that path, each by inserting one
+id among siblings that are already sorted.  Terms appear only at the API
+boundary: `graded_monomials` lists the slice, and `membership` maps a
+combination of terms onto its columns.
 
 The graded dimension is |monomials| - rank(instances), with rank computed
 by exact integer fraction-free elimination.  No floating point, no
@@ -41,9 +44,6 @@ DEFAULT_CEILING = 200_000
 
 CACHE_ENV_VAR = "NLIE_ORACLE_CACHE"
 
-_HOLE = "__hole__"
-
-
 class InstanceCeilingExceeded(RuntimeError):
     """The monomial slice is larger than the configured ceiling."""
 
@@ -61,7 +61,6 @@ class MonomialBasis:
 class RelationMatrix:
     basis: MonomialBasis
     rows: list  # sparse integer rows: dict column -> coefficient
-    provenance: list  # ((M, Y) term tuples, context tree) per row
 
 
 def _choices(total: int, parts: int, pools) -> list:
@@ -94,24 +93,23 @@ def graded_monomials(
     return MonomialBasis(n, d, w, list(ms), dict(ms))
 
 
-def _contexts(n: int, d: int, w: int, v: int) -> tuple:
-    """Monomial trees of weight w with one hole standing for a weight-v
-    subterm.  The hole is kept in the first slot of its bracket; sibling
-    order is irrelevant up to a global sign.  Not cached: rebuilding costs
-    milliseconds, and the trees are needed only while rows are built."""
+def _contexts(n: int, w: int, v: int, pools) -> list:
+    """Monomials of weight w with one hole standing for a weight-v
+    subterm, each as the strictly descending sibling-id tuples of the
+    brackets on its path, from the hole to the root; the hole is the first
+    child of each.  Sibling ids are drawn from `pools` (weight -> ids)."""
     if w == v:
-        return (_HOLE,)
+        return [()]
     out = []
-    pools = {wc: _monomials(n, d, wc) for wc in range(1, w)}
     for sub_w in range(v, w):
         sib_total = w + n - 2 - sub_w
         if sib_total < n - 1:
             continue
-        subs = _contexts(n, d, sub_w, v)
+        subs = _contexts(n, sub_w, v, pools)
         for sibs in _choices(sib_total, n - 1, pools):
             for sub in subs:
-                out.append((sub,) + sibs)
-    return tuple(out)
+                out.append(sub + (sibs,))
+    return out
 
 
 def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
@@ -129,31 +127,18 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
 
 
 def _instance_rows(n: int, d: int, w: int):
-    """Yield (row, provenance) for every nonzero relation row, in order."""
-    terms, base, bracket = canonical_brackets(n, d, w)
-    # the id of each context sibling, all lighter than w
-    index = {t: i for i, t in enumerate(terms[: base[w]])}
+    """Yield every nonzero relation row, in order."""
+    _, base, bracket = canonical_brackets(n, d, w)
     pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
     # one shared int per column (as in basis.index), not one per row entry
     column = {i: i - base[w] for i in pools[w]}
     for v in range(2, w + 1):
-        # each context with its sibling-id tuples, innermost level first
-        spines = []
-        for ctx in _contexts(n, d, w, v):
-            levels, sub = [], ctx
-            while sub != _HOLE:
-                levels.append(tuple(index[s] for s in sub[1:]))
-                sub = sub[0]
-            spines.append((ctx, levels[::-1]))
+        spines = _contexts(n, w, v, pools)
         # all (M, Y) with weight([[M], Y]) == v
         for wb in range(2, v):
-            y_choices = [
-                (ys, tuple(terms[i] for i in ys))
-                for ys in _choices(v - wb + n - 2, n - 1, pools)
-            ]
+            y_choices = _choices(v - wb + n - 2, n - 1, pools)
             for ms in _choices(wb + n - 2, n, pools):
-                mt = tuple(terms[i] for i in ms)
-                for ys, yt in y_choices:
+                for ys in y_choices:
                     # [[M], Y] - sum_i [m_1,..,[m_i, Y],..,m_n] as {id: coeff}
                     parts = [_put(bracket, 1, 0, bracket[ms], ys)]
                     for i, m in enumerate(ms):
@@ -168,7 +153,7 @@ def _instance_rows(n: int, d: int, w: int):
                             element[part[1]] = coeff
                         else:
                             del element[part[1]]
-                    for ctx, spine in spines:
+                    for spine in spines:
                         row: dict[int, int] = {}
                         for tid, coeff in element.items():
                             for sibs in spine:
@@ -179,15 +164,14 @@ def _instance_rows(n: int, d: int, w: int):
                             else:
                                 row[column[tid]] = coeff
                         if row:
-                            yield row, ((mt, yt), ctx)
+                            yield row
 
 
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     basis = graded_monomials(n, d, w, ceiling=ceiling)
-    pairs = list(_instance_rows(n, d, w))
-    return RelationMatrix(basis, [row for row, _ in pairs], [prov for _, prov in pairs])
+    return RelationMatrix(basis, list(_instance_rows(n, d, w)))
 
 
 class _Echelon:
@@ -245,7 +229,7 @@ def _relation_space(n: int, d: int, w: int) -> _Echelon:
     ceiling first, with graded_monomials."""
     ech = _Echelon()
     # rows stream into the echelon; the full row list is never held
-    for row, _ in _instance_rows(n, d, w):
+    for row in _instance_rows(n, d, w):
         ech.insert(row)
     return ech
 

@@ -83,6 +83,29 @@ def test_rewrite_parse_error(capsys):
     assert code == 1 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "depth, message",
+    [(1200, "parse error: term nested too deeply"),
+     (700, "error: term nested too deeply to collect")],
+)
+def test_rewrite_deep_term_is_one_line_error(capsys, depth, message):
+    expr = "[" * depth + "x1" + ",x2]" * depth
+    code, out, err = run(capsys, "rewrite", "--n", "2", expr)
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_oracle_ceiling_zero_blanks_the_oracle(capsys):
+    code, _, err = run(capsys, "count", "--n", "2", "--d", "2", "--w", "3",
+                       "--method", "oracle", "--oracle-ceiling", "0")
+    assert code == 1 and "does not apply" in err
+    _, out, _ = run(capsys, "compare", "--n", "2", "--d", "2", "--w-max", "2",
+                    "--oracle-ceiling", "0")
+    rows = parse_csv(out)
+    assert [dict(zip(rows[0], r))[counting.ORACLE] for r in rows[1:]] == ["", ""]
+
+
 def test_rewrite_budget_exhaustion(capsys):
     code, out, err = run(capsys, "rewrite", "--n", "3", "--budget", "0",
                          "[[[x3,x2,x1],x3,x2],x2,x1]")
@@ -179,6 +202,10 @@ def test_discrepancy_flag_mechanism_synthetic():
         (["rewrite", "--n", "2", "--budget", "-1", "[x1,x2]"], "--budget"),
         (["rewrite", "--n", "1", "x1"], "--n"),
         (["compare", "--n", "2", "--d", "2", "--w-max", "0"], "--w-max"),
+        (["count", "--n", "3", "--d", "3", "--w", "4", "--method", "oracle",
+          "--oracle-ceiling", "-5"], "--oracle-ceiling"),
+        (["compare", "--n", "2", "--d", "2", "--w-max", "2",
+          "--oracle-ceiling", "-1"], "--oracle-ceiling"),
     ],
 )
 def test_out_of_range_arguments_rejected_in_one_line(capsys, argv, option):
