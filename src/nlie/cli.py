@@ -17,20 +17,7 @@ from . import basis, counting, oracle, rewrite, terms
 
 DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 
-_METHOD_NAMES = {
-    "witt": counting.WITT,
-    "necklace-bound": counting.NECKLACE_BOUND,
-    "weight2": counting.WEIGHT2,
-    "ladder": counting.LADDER,
-    "ladder-recursive": counting.LADDER_RECURSIVE,
-    "eq14": counting.EQ14,
-    "eq15": counting.EQ15,
-    "eq16": counting.EQ16,
-    "via-lie": counting.VIA_LIE,
-    "enum-full": counting.ENUM_FULL,
-    "enum-left": counting.ENUM_LEFT,
-    "oracle": counting.ORACLE,
-}
+_METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
 
 _ENUM_MODES = {
@@ -164,26 +151,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-_COMPARE_COLUMNS = (
-    counting.WITT,
-    counting.NECKLACE_BOUND,
-    counting.WEIGHT2,
-    counting.LADDER,
-    counting.LADDER_RECURSIVE,
-    counting.EQ14,
-    counting.EQ15,
-    counting.EQ16,
-    counting.VIA_LIE,
-    counting.ENUM_FULL,
-    counting.ENUM_LEFT,
-    counting.ORACLE,
-)
-
-_COUNT_METHODS = tuple(
-    t for t in _COMPARE_COLUMNS if t != counting.NECKLACE_BOUND
-)
-
-
 def _reference_method(n: int, d: int, values: dict):
     if n == 2 and values.get(counting.WITT) is not None:
         return counting.WITT
@@ -198,34 +165,37 @@ def _reference_method(n: int, d: int, values: dict):
 def discrepancy_flags(n: int, d: int, values: dict) -> list[str]:
     """Flag strings for one cell: every populated count that disagrees
     with the reference, and every count exceeding the necklace bound."""
+    counts = [
+        (tag, values[tag])
+        for tag in counting.METHODS
+        if tag != counting.NECKLACE_BOUND and values.get(tag) is not None
+    ]
     flags = []
     ref = _reference_method(n, d, values)
     if ref is not None:
         rv = values[ref]
-        for tag in _COUNT_METHODS:
-            v = values.get(tag)
-            if tag != ref and v is not None and v != rv:
-                flags.append(f"{tag}={v} vs {ref}={rv}")
+        flags += [
+            f"{tag}={v} vs {ref}={rv}" for tag, v in counts if tag != ref and v != rv
+        ]
     bound = values.get(counting.NECKLACE_BOUND)
     if bound is not None:
-        for tag in _COUNT_METHODS:
-            v = values.get(tag)
-            if v is not None and v > bound:
-                flags.append(f"{tag}={v} exceeds NECKLACE_BOUND={bound}")
+        flags += [
+            f"{tag}={v} exceeds NECKLACE_BOUND={bound}" for tag, v in counts if v > bound
+        ]
     return flags
 
 
 def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
     """Rows of the comparison report: header, then one row per weight."""
-    yield ["n", "d", "w"] + list(_COMPARE_COLUMNS) + ["flags"]
+    yield ["n", "d", "w"] + list(counting.METHODS) + ["flags"]
     for w in range(1, w_max + 1):
         values = {
             tag: _cell_value(tag, n, d, w, oracle_ceiling)
-            for tag in _COMPARE_COLUMNS
+            for tag in counting.METHODS
         }
         flags = discrepancy_flags(n, d, values)
         row = [str(n), str(d), str(w)]
-        row += ["" if values[t] is None else str(values[t]) for t in _COMPARE_COLUMNS]
+        row += ["" if values[t] is None else str(values[t]) for t in counting.METHODS]
         row.append("; ".join(flags))
         yield row
 

@@ -18,7 +18,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-# Method tags used by count tables and the comparison report.
+# Method tags, in the column order of the comparison report.  METHODS is
+# the one list of them: the CLI derives its `count --method` names (lower
+# case, "-" for "_"), its report columns and its flags from it.
 WITT = "WITT"
 NECKLACE_BOUND = "NECKLACE_BOUND"
 WEIGHT2 = "WEIGHT2"
@@ -27,10 +29,10 @@ LADDER_RECURSIVE = "LADDER_RECURSIVE"
 EQ14 = "EQ14"
 EQ15 = "EQ15"
 EQ16 = "EQ16"
+VIA_LIE = "VIA_LIE"
 ENUM_FULL = "ENUM_FULL"
 ENUM_LEFT = "ENUM_LEFT"
 ORACLE = "ORACLE"
-VIA_LIE = "VIA_LIE"
 
 METHODS = (
     WITT,
@@ -41,15 +43,11 @@ METHODS = (
     EQ14,
     EQ15,
     EQ16,
+    VIA_LIE,
     ENUM_FULL,
     ENUM_LEFT,
     ORACLE,
-    VIA_LIE,
 )
-
-
-class MalformedBracketError(ValueError):
-    """A closed-form index falls outside every admissible bracket."""
 
 
 def moebius(k: int) -> int:
@@ -165,26 +163,15 @@ def weight3_closed_form(n: int, d: int) -> int:
 
 
 def _beta_sum(n: int, d: int) -> int:
-    """sum_{j=1}^{alpha_0} beta_{j*} with alpha_0 = C(d-1, n-1); for each j
-    the admissible k in {n-1,...,d-1} satisfies
-    C(k-1, n-1) + 1 <= j <= C(k, n-1), and then j* = C(k-1, n-1) + 1 and
-    beta_{j*} = d - n - j* + 2."""
-    alpha0 = comb(d - 1, n - 1)
-    total = 0
-    for j in range(1, alpha0 + 1):
-        jstar = None
-        for k in range(n - 1, d):
-            lo = comb(k - 1, n - 1) + 1
-            hi = comb(k, n - 1)
-            if lo <= j <= hi:
-                jstar = lo
-                break
-        if jstar is None:
-            raise MalformedBracketError(
-                f"no admissible k for j={j} (n={n}, d={d})"
-            )
-        total += d - n - jstar + 2
-    return total
+    """sum_{j=1}^{alpha_0} beta_{j*} with alpha_0 = C(d-1, n-1).  Each j
+    lies in the range C(k-1, n-1) + 1 <= j <= C(k, n-1) of exactly one k in
+    {n-1,...,d-1} (the ranges tile 1..alpha_0), and there
+    j* = C(k-1, n-1) + 1 and beta_{j*} = d - n - j* + 2.  So each range
+    adds its C(k-1, n-2) members times d - n - C(k-1, n-1) + 1."""
+    return sum(
+        comb(k - 1, n - 2) * (d - n - comb(k - 1, n - 1) + 1)
+        for k in range(n - 1, d)
+    )
 
 
 def weight4_closed_form(n: int, d: int) -> int:
@@ -314,7 +301,7 @@ def count_via_lie(n: int, d: int, w: int) -> Fraction:
         exp = lie_expansion(k)
         val = Fraction(0)
         for s, c in exp.coefficients.items():
-            if c != 0 and dstar >= 1:
+            if c != 0:
                 val += c * witt(dstar, s)
         inner += comb(w - 3, i - 2) * val
     return _beta_sum(n, d) * inner

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Term = Union[int, tuple]
 
@@ -260,8 +260,6 @@ def canonical_brackets(n: int, d: int, w: int, keep=None):
 # Linear combinations: plain dicts mapping canonical terms to exact rationals.
 # No zero coefficients are ever stored.
 
-LinearCombination = dict
-
 
 def lc_add(lc: dict, t: Term, coeff) -> None:
     """Accumulate coeff * t into lc in place, dropping zeros."""
@@ -285,18 +283,14 @@ def lc_from_term(t: Term, n: int, coeff=1) -> dict:
     return {ct: Fraction(coeff) * s}
 
 
-def lc_terms_sorted(lc: dict, n: int) -> Iterator[tuple[Term, Fraction]]:
-    for t in sorted(lc, key=lambda u: term_key(u, n)):
-        yield t, lc[t]
-
-
 def lc_format(lc: dict, n: int) -> str:
     """Render a combination as e.g. '-1*[x3,x2,x1] +1/2*[x2,x1,...]'.
     The empty combination renders as '0'."""
     if not lc:
         return "0"
     parts = []
-    for t, c in lc_terms_sorted(lc, n):
+    for t in sorted(lc, key=lambda u: term_key(u, n)):
+        c = lc[t]
         sign = "+" if c > 0 else "-"
         parts.append(f"{sign}{abs(Fraction(c))}*{format_term(t)}")
     return " ".join(parts)

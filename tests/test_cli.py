@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -160,6 +161,37 @@ def test_compare_schema(capsys):
     assert header[-1] == "flags"
     assert set(counting.METHODS) <= set(header)
     assert len(rows) == 4  # header + w = 1..3
+
+
+def test_compare_columns_and_count_names_follow_methods(capsys):
+    _, out, _ = run(capsys, "compare", "--n", "3", "--d", "3", "--w-max", "1")
+    assert parse_csv(out)[0] == ["n", "d", "w", *counting.METHODS, "flags"]
+    with pytest.raises(SystemExit):
+        cli.main(["count", "--help"])
+    choices = re.search(r"--method \{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert choices.split(",") == sorted(cli._METHOD_NAMES)
+    assert sorted(cli._METHOD_NAMES.values()) == sorted(counting.METHODS)
+    for tag in counting.METHODS:
+        assert cli._METHOD_NAMES[tag.lower().replace("_", "-")] == tag
+
+
+# Frozen output of `nlie compare --n 4 --d 4 --w-max 4`: pins the column
+# order, the flag order and every value.
+COMPARE_4_4_4 = """\
+# reference count: WITT for n=2, LADDER for n=d, else ORACLE/ENUM_FULL
+# empty fields: method not applicable or instance above the oracle ceiling
+n,d,w,WITT,NECKLACE_BOUND,WEIGHT2,LADDER,LADDER_RECURSIVE,EQ14,EQ15,EQ16,VIA_LIE,ENUM_FULL,ENUM_LEFT,ORACLE,flags
+4,4,1,,4,,4,4,,,,,4,4,4,
+4,4,2,,60,1,1,1,,,,,1,1,1,
+4,4,3,,2340,,4,4,11,,4,4,4,4,4,EQ14=11 vs LADDER=4
+4,4,4,,104754,,10,10,,10,10,10,13,10,10,ENUM_FULL=13 vs LADDER=10
+"""
+
+
+def test_compare_output_frozen(capsys):
+    code, out, _ = run(capsys, "compare", "--n", "4", "--d", "4", "--w-max", "4")
+    assert code == 0
+    assert out == COMPARE_4_4_4
 
 
 def test_compare_flags_disagreements(capsys):

@@ -103,6 +103,28 @@ def test_weight4_agrees_with_general_form():
         assert weight4_closed_form(n, d) == weightw_closed_form(n, d, 4)
 
 
+def _beta_sum_by_j(n, d):
+    """The beta sum of the weight-4 and weight-w closed forms, evaluated
+    j by j: find the k whose range C(k-1, n-1) < j <= C(k, n-1) holds j,
+    then add beta_{j*} = d - n - j* + 2 with j* = C(k-1, n-1) + 1."""
+    total = 0
+    for j in range(1, comb(d - 1, n - 1) + 1):
+        (k,) = [k for k in range(n - 1, d) if comb(k - 1, n - 1) < j <= comb(k, n - 1)]
+        total += d - n - (comb(k - 1, n - 1) + 1) + 2
+    return total
+
+
+def test_closed_forms_match_j_by_j_beta_sum():
+    for n in range(2, 9):
+        for d in range(n, 16):
+            beta = _beta_sum_by_j(n, d)
+            dd = comb(d, n - 1)
+            assert weight4_closed_form(n, d) == beta * (comb(dd, 2) + dd)
+            for w in range(3, 7):
+                inner = sum(comb(w - 3, i - 2) * comb(dd, w - i) for i in range(2, w))
+                assert weightw_closed_form(n, d, w) == beta * inner
+
+
 def test_via_lie_agrees_with_general_form():
     for n, d in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
         for w in (3, 4, 5):
