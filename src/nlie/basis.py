@@ -115,10 +115,28 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
 
 
 @lru_cache(maxsize=None)
-def _basics(n: int, d: int, w: int, mode: EnumerationMode) -> tuple:
-    """Ascending tuple of the basic terms of weight w on d letters."""
+def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int) -> tuple:
+    """Ascending tuple of the basic terms of weight w on d letters.
+
+    Raises EnumerationCapExceeded as soon as more than `cap` are kept at
+    weight w, before the rest of the weight is built."""
     rule = _RULES[mode]
-    terms, base, _ = canonical_brackets(n, d, w, keep=lambda t, ws: rule(t, ws, n))
+    top = w + n - 2  # the child weights of a weight-w bracket sum to this
+    kept = 0
+
+    def keep(t, ws):
+        nonlocal kept
+        if not rule(t, ws, n):
+            return False
+        if sum(ws) == top:
+            kept += 1
+            if kept > cap:
+                raise EnumerationCapExceeded(
+                    f"basic commutators at (n={n}, d={d}, w={w}) exceed cap {cap}"
+                )
+        return True
+
+    terms, base, _ = canonical_brackets(n, d, w, keep=keep)
     return tuple(terms[base[w] :])
 
 
@@ -153,7 +171,7 @@ def enumerate_basic(
             f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
         )
     m = n + (w - 2) * (n - 1) if w >= 2 else 1
-    return [BasicCommutator(t, w, m) for t in _basics(n, d, w, mode)]
+    return [BasicCommutator(t, w, m) for t in _basics(n, d, w, mode, cap)]
 
 
 def count_by_enumeration(
@@ -164,7 +182,9 @@ def count_by_enumeration(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """|enumerate_basic(n, d, w, mode)|, with closed forms where the answer
-    does not require materializing terms."""
+    does not require materializing terms.  Where it does (FULL_RULE3 from
+    weight 3 on), raises EnumerationCapExceeded once more than `cap`
+    basics are found, without building the rest."""
     if w == 1:
         return d
     if d < n:
@@ -175,4 +195,4 @@ def count_by_enumeration(
         # combinatorial count: per core, a multiset of w-2 allowed tails
         cores = _cores_and_tails(n, d)
         return sum(comb(len(allowed) + w - 3, w - 2) for _, allowed in cores)
-    return len(_basics(n, d, w, mode))
+    return len(_basics(n, d, w, mode, cap))

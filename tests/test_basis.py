@@ -10,7 +10,7 @@ from nlie.basis import (
     is_basic,
 )
 from nlie.oracle import graded_monomials
-from nlie.terms import is_canonical, term_key
+from nlie.terms import canonical_brackets, is_canonical, term_key
 
 FULL = EnumerationMode.FULL_RULE3
 LEFT = EnumerationMode.LEFT_NORMED
@@ -124,6 +124,26 @@ def test_enumeration_cap():
         enumerate_basic(3, 3, 6, FULL, cap=10)
     # counting itself respects closed forms and does not raise
     assert count_by_enumeration(3, 3, 6, LEFT, cap=10) == 15
+
+
+def test_full_rule3_count_stops_at_the_cap(monkeypatch):
+    # (3, 5, 6) has 62440 FULL_RULE3 basics; the build must stop at the 11th
+    examined, finished = [], []
+
+    def spied(n, d, w, keep=None):
+        def spy(t, ws):
+            examined.append(sum(ws) == w + n - 2)
+            return keep(t, ws)
+
+        out = canonical_brackets(n, d, w, keep=spy)
+        finished.append(True)
+        return out
+
+    monkeypatch.setattr(basis, "canonical_brackets", spied)
+    with pytest.raises(EnumerationCapExceeded):
+        count_by_enumeration(3, 5, 6, FULL, cap=10)
+    assert not finished
+    assert 10 < sum(examined) < 100
 
 
 def test_bad_instance_rejected():

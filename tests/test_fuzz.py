@@ -5,7 +5,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nlie.terms import canonicalize, format_term, parse, term_key  # noqa: E402
+from nlie.basis import is_basic  # noqa: E402
+from nlie.oracle import membership  # noqa: E402
+from nlie.rewrite import collect  # noqa: E402
+from nlie.terms import (  # noqa: E402
+    canonicalize,
+    format_term,
+    lc_from_term,
+    lc_merge,
+    parse,
+    term_key,
+)
 
 # bounded so the tier-1 suite stays fast; failing examples are not saved
 fuzz = settings(max_examples=60, deadline=None, database=None)
@@ -68,3 +78,33 @@ def test_swapping_two_children_of_a_canonical_bracket_flips_the_sign(nt, data):
     swapped[i], swapped[j] = swapped[j], swapped[i]
     assert canonicalize(ct, n) == (1, ct)
     assert canonicalize(tuple(swapped), n) == (-1, ct)
+
+
+def _left_normed(n, d, w_max):
+    """Nonzero left-normed terms [..[[x_1,...,x_n], y_2,...,y_n], ...] of
+    weight 2..w_max on letters 1..d, as (n, d, term): the letters of each
+    bracket are distinct."""
+
+    def letters(k):
+        return st.lists(st.integers(1, d), min_size=k, max_size=k, unique=True)
+
+    def build(core_and_tails):
+        t, tails = core_and_tails
+        for tail in tails:
+            t = (t,) + tail
+        return n, d, t
+
+    tails = st.lists(letters(n - 1).map(tuple), max_size=w_max - 2)
+    return st.tuples(letters(n).map(tuple), tails).map(build)
+
+
+@fuzz
+@given(st.one_of(_left_normed(2, 2, 7), _left_normed(3, 3, 5)))
+def test_collect_stays_in_the_relation_span_and_ends_in_basics(ndt):
+    n, d, t = ndt
+    lc, trace = collect(t, n)
+    assert not trace.capped
+    diff = lc_from_term(t, n)
+    lc_merge(diff, lc, -1)
+    assert membership(diff, n, d)
+    assert all(is_basic(u, n) for u in lc)

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -161,6 +161,81 @@ def test_relation_rows_match_whole_tree_reference(cell):
 )
 def test_relation_row_counts_frozen(cell, count):
     assert len(relation_rows(*cell).rows) == count
+
+
+def _dense_rank(rows, ncols):
+    """Rank over Q by textbook Gaussian elimination on dense Fraction rows,
+    pivoting on the leftmost column, with no normalization and no
+    deduplication."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    rank = 0
+    for j in range(ncols):
+        below = [i for i in range(rank, len(m)) if m[i][j]]
+        if not below:
+            continue
+        m[rank], m[below[0]] = m[below[0]], m[rank]
+        p = m[rank]
+        nonzero = [k for k in range(j, ncols) if p[k]]
+        for r in m[rank + 1 :]:
+            if r[j]:
+                f = r[j] / p[j]
+                for k in nonzero:
+                    r[k] -= f * p[k]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 6), (2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)])
+def test_echelon_rank_matches_dense_fraction_rank(cell):
+    rm = relation_rows(*cell)
+    assert oracle._relation_space(*cell).rank == _dense_rank(
+        rm.rows, len(rm.basis.monomials)
+    )
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6), (3, 3, 6), (4, 5, 4)])
+def test_echelon_pivots_sit_on_their_largest_column(cell):
+    pivots = oracle._relation_space(*cell).pivots
+    assert pivots
+    for col, row in pivots.items():
+        assert col == max(row)
+        assert row[col] > 0
+        assert gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 8), (3, 3, 6)])
+def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
+    rows = relation_rows(*cell).rows
+    ech = oracle._Echelon()
+    for row in rows:
+        ech.insert(row)
+        assert not ech.insert(row)
+    rank = oracle._relation_space(*cell).rank
+    assert ech.rank == rank
+
+    # every row fed again, negated and doubled: the build skips the copies
+    fed = []
+    insert = oracle._Echelon.insert
+
+    def doubled(*args):
+        for row in rows:
+            yield row
+            yield {k: -2 * c for k, c in row.items()}
+
+    def counted(self, row):
+        fed.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(oracle, "_instance_rows", doubled)
+    monkeypatch.setattr(oracle._Echelon, "insert", counted)
+    assert oracle._relation_space.__wrapped__(*cell).rank == rank
+    distinct = {frozenset(oracle._Echelon._normalize(row).items()) for row in rows}
+    assert len(fed) == len(distinct) < len(rows)
+
+
+def test_large_cells_frozen():
+    assert graded_dimension(2, 3, 8) == 810  # the Witt value
+    assert graded_dimension(3, 4, 6) == 1620
 
 
 def test_membership_of_jacobi_instances():
