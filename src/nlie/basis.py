@@ -1,18 +1,23 @@
-"""The basic-commutator predicate and exhaustive enumeration.
+"""The basic-commutator predicate, its counts and exhaustive enumeration.
 
-One recursive definition serves both: a generator is basic, and a
+One recursive definition serves all three: a generator is basic, and a
 canonical bracket is basic when all its children are basic and it passes
-the local rule of the chosen reading.  `is_basic` checks this top-down;
-the enumerator builds exactly these brackets weight by weight with
-`terms.canonical_brackets`, keeping a candidate when its rule holds.  The
-canonical order already gives non-increasing child weights, strict
-descent among equal weights, and children lighter than the bracket.
+the local rule of the chosen reading.  `is_basic` checks this in one walk
+that passes each child's weight up to its parent; the enumerator builds
+exactly these brackets weight by weight with `terms.canonical_brackets`,
+keeping a candidate when its rule holds.  The canonical order already
+gives non-increasing child weights, strict descent among equal weights,
+and children lighter than the bracket.
+
+Counts are closed forms at weights 1 and 2 and at every LEFT_NORMED
+weight; FULL_RULE3 from weight 3 on is counted by its one build, which
+stops itself at the cap.  Nothing is cached.
 
 Two rules are implemented:
 
-* FULL_RULE3 -- the literal rule: at every weight descent where the
-  heavier child is a bracket, its last component is <= the last child of
-  the outer bracket.
+* FULL_RULE3 -- the literal rule: at every weight descent the heavier
+  child (a bracket, being heavier than 1) has its last component <= the
+  last child of the outer bracket.
 
 * LEFT_NORMED -- only left-normed shapes: a core of n strictly descending
   generators, or a bracket head followed by a tail of n-1 generators that
@@ -31,17 +36,16 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 from .terms import (
     Term,
     canonical_brackets,
+    commutator_length,
     is_canonical,
     is_leaf,
     term_key,
-    weight,
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -68,13 +72,12 @@ def _tuple_key(leaves: tuple) -> tuple:
 
 
 def _descent_rule(t: tuple, kws, n: int) -> bool:
-    """At every weight descent where the heavier child (weights `kws`) is
-    a bracket, its last component is <= the last child of t."""
+    """At every weight descent (child weights `kws`) the heavier child, a
+    bracket, has its last component <= the last child of t."""
     last_key = term_key(t[-1], n)
     for s in range(n - 1):
-        if kws[s] > kws[s + 1] and not is_leaf(t[s]):
-            if term_key(t[s][-1], n) > last_key:
-                return False
+        if kws[s] > kws[s + 1] and term_key(t[s][-1], n) > last_key:
+            return False
     return True
 
 
@@ -93,12 +96,17 @@ _RULES = {
 }
 
 
-def _is_basic(t: Term, n: int, rule) -> bool:
+def _basic_weight(t: Term, n: int, rule):
+    """The weight of t when it is basic under `rule`, else None."""
     if is_leaf(t):
-        return True
-    if not all(_is_basic(c, n, rule) for c in t):
-        return False
-    return rule(t, [weight(c, n) for c in t], n)
+        return 1
+    kws = []
+    for c in t:
+        kw = _basic_weight(c, n, rule)
+        if kw is None:
+            return None
+        kws.append(kw)
+    return sum(kws) - (n - 2) if rule(t, kws, n) else None
 
 
 def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3) -> bool:
@@ -107,16 +115,35 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
     Raises ValueError on non-canonical input."""
     if not is_canonical(t, n):
         raise ValueError(f"not a canonical term: {t!r}")
-    return _is_basic(t, n, _RULES[mode])
+    return _basic_weight(t, n, _RULES[mode]) is not None
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Counting and enumeration
 
 
-@lru_cache(maxsize=None)
-def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int) -> tuple:
-    """Ascending tuple of the basic terms of weight w on d letters.
+def _closed_count(n: int, d: int, w: int, mode: EnumerationMode):
+    """|basics| where a closed form gives it (weights 1 and 2, every
+    LEFT_NORMED weight), else None.  A LEFT_NORMED basic is a core c (an
+    ascending n-combination of 1..d) and a multiset of w-2 tails (ascending
+    (n-1)-combinations), each at or after c[:-1] in lexicographic order,
+    which is the right-to-left tuple order."""
+    if w == 1:
+        return d
+    if w == 2:
+        return comb(d, n)
+    if mode is not EnumerationMode.LEFT_NORMED:
+        return None
+    letters = range(1, d + 1)
+    pos = {s: i for i, s in enumerate(itertools.combinations(letters, n - 1))}
+    return sum(
+        comb(len(pos) - pos[c[:-1]] + w - 3, w - 2)
+        for c in itertools.combinations(letters, n)
+    )
+
+
+def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int) -> list:
+    """The basic terms of weight w on d letters, ascending.
 
     Raises EnumerationCapExceeded as soon as more than `cap` are kept at
     weight w, before the rest of the weight is built."""
@@ -137,21 +164,7 @@ def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int) -> tuple:
         return True
 
     terms, base, _ = canonical_brackets(n, d, w, keep=keep)
-    return tuple(terms[base[w] :])
-
-
-def _cores_and_tails(n: int, d: int):
-    """Each left-normed core (a descending n-tuple of generators) with the
-    tails (descending (n-1)-tuples) allowed to follow it: those >= the
-    core's own tail in the right-to-left tuple order."""
-    tails = sorted(
-        (tuple(reversed(c)) for c in itertools.combinations(range(1, d + 1), n - 1)),
-        key=_tuple_key,
-    )
-    for c in itertools.combinations(range(1, d + 1), n):
-        core = tuple(reversed(c))
-        start = _tuple_key(core[1:])
-        yield core, [s for s in tails if _tuple_key(s) >= start]
+    return terms[base[w] :]
 
 
 def enumerate_basic(
@@ -162,15 +175,15 @@ def enumerate_basic(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[BasicCommutator]:
     """All basic commutators of weight w on d letters, ascending in the
-    term order."""
+    term order.  A closed count above `cap` is refused before any build."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
-    count = count_by_enumeration(n, d, w, mode, cap=cap)
-    if count > cap:
+    count = _closed_count(n, d, w, mode)
+    if count is not None and count > cap:
         raise EnumerationCapExceeded(
             f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
         )
-    m = n + (w - 2) * (n - 1) if w >= 2 else 1
+    m = commutator_length(n, w)
     return [BasicCommutator(t, w, m) for t in _basics(n, d, w, mode, cap)]
 
 
@@ -181,18 +194,9 @@ def count_by_enumeration(
     mode: EnumerationMode = EnumerationMode.FULL_RULE3,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
-    """|enumerate_basic(n, d, w, mode)|, with closed forms where the answer
-    does not require materializing terms.  Where it does (FULL_RULE3 from
-    weight 3 on), raises EnumerationCapExceeded once more than `cap`
-    basics are found, without building the rest."""
-    if w == 1:
-        return d
-    if d < n:
-        return 0
-    if w == 2:
-        return comb(d, n)
-    if mode is EnumerationMode.LEFT_NORMED:
-        # combinatorial count: per core, a multiset of w-2 allowed tails
-        cores = _cores_and_tails(n, d)
-        return sum(comb(len(allowed) + w - 3, w - 2) for _, allowed in cores)
-    return len(_basics(n, d, w, mode, cap))
+    """|enumerate_basic(n, d, w, mode)|, from the closed count where there
+    is one.  Elsewhere (FULL_RULE3 from weight 3 on) the basics are built,
+    and EnumerationCapExceeded is raised once more than `cap` are found,
+    without building the rest."""
+    count = _closed_count(n, d, w, mode)
+    return len(_basics(n, d, w, mode, cap)) if count is None else count

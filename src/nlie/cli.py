@@ -20,34 +20,42 @@ DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
 
+# enumeration modes by their `enumerate --mode` name; the ENUM_<NAME>
+# count methods use the same names
 _ENUM_MODES = {
-    counting.ENUM_FULL: basis.EnumerationMode.FULL_RULE3,
-    counting.ENUM_LEFT: basis.EnumerationMode.LEFT_NORMED,
+    "full": basis.EnumerationMode.FULL_RULE3,
+    "left": basis.EnumerationMode.LEFT_NORMED,
+}
+
+# the bounds that can stop a method, by the exception they raise
+_BOUNDS = {
+    basis.EnumerationCapExceeded: "enumeration cap",
+    oracle.InstanceCeilingExceeded: "oracle ceiling",
 }
 
 
 def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
-    """Value of one method on one cell, or None when not applicable /
-    uncomputable."""
-    if tag in _ENUM_MODES:
-        try:
-            return basis.count_by_enumeration(n, d, w, _ENUM_MODES[tag])
-        except basis.EnumerationCapExceeded:
-            return None
+    """Value of one method on one cell, or None when it does not apply.
+    Raises one of the `_BOUNDS` exceptions when a bound stops it."""
+    if tag.startswith("ENUM_"):
+        mode = _ENUM_MODES[tag.removeprefix("ENUM_").lower()]
+        return basis.count_by_enumeration(n, d, w, mode)
     if tag == counting.ORACLE:
-        try:
-            return oracle.graded_dimension(n, d, w, ceiling=oracle_ceiling)
-        except oracle.InstanceCeilingExceeded:
-            return None
-    try:
-        return counting.count_by_method(tag, n, d, w)
-    except ValueError:
-        return None
+        return oracle.graded_dimension(n, d, w, ceiling=oracle_ceiling)
+    return counting.count_by_method(tag, n, d, w)
 
 
 def cmd_count(args) -> int:
-    tag = _METHOD_NAMES[args.method]
-    value = _cell_value(tag, args.n, args.d, args.w, args.oracle_ceiling)
+    try:
+        value = _cell_value(
+            _METHOD_NAMES[args.method], args.n, args.d, args.w, args.oracle_ceiling
+        )
+    except tuple(_BOUNDS) as exc:
+        print(
+            f"method {args.method} stopped by the {_BOUNDS[type(exc)]}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     if value is None:
         print(
             f"method {args.method} does not apply to (n={args.n}, d={args.d}, w={args.w})",
@@ -59,13 +67,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    mode = (
-        basis.EnumerationMode.LEFT_NORMED
-        if args.mode == "left"
-        else basis.EnumerationMode.FULL_RULE3
-    )
     try:
-        items = basis.enumerate_basic(args.n, args.d, args.w, mode)
+        items = basis.enumerate_basic(args.n, args.d, args.w, _ENUM_MODES[args.mode])
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -110,10 +113,7 @@ def cmd_rewrite(args) -> int:
 def _table2_rows():
     yield ["n"] + [str(w) for w in range(1, 9)]
     for n in range(2, 9):
-        yield [str(n)] + [
-            str(1 if w == 1 else counting.commutator_length(n, w))
-            for w in range(1, 9)
-        ]
+        yield [str(n)] + [str(terms.commutator_length(n, w)) for w in range(1, 9)]
 
 
 def _table3_rows():
@@ -189,10 +189,12 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
     """Rows of the comparison report: header, then one row per weight."""
     yield ["n", "d", "w"] + list(counting.METHODS) + ["flags"]
     for w in range(1, w_max + 1):
-        values = {
-            tag: _cell_value(tag, n, d, w, oracle_ceiling)
-            for tag in counting.METHODS
-        }
+        values = {}
+        for tag in counting.METHODS:
+            try:
+                values[tag] = _cell_value(tag, n, d, w, oracle_ceiling)
+            except tuple(_BOUNDS):
+                values[tag] = None
         flags = discrepancy_flags(n, d, values)
         row = [str(n), str(d), str(w)]
         row += ["" if values[t] is None else str(values[t]) for t in counting.METHODS]
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=_int_at_least(2), required=True)
     e.add_argument("--d", type=_int_at_least(1), required=True)
     e.add_argument("--w", type=_int_at_least(1), required=True)
-    e.add_argument("--mode", choices=["full", "left"], default="full")
+    e.add_argument("--mode", choices=list(_ENUM_MODES), default="full")
     e.add_argument("--format", choices=["text", "json"], default="text")
     e.set_defaults(func=cmd_enumerate)
 

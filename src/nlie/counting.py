@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
+from .terms import commutator_length
+
 # Method tags, in the column order of the comparison report.  METHODS is
 # the one list of them: the CLI derives its `count --method` names (lower
 # case, "-" for "_"), its report columns and its flags from it.
@@ -53,8 +55,6 @@ METHODS = (
 def moebius(k: int) -> int:
     if k < 1:
         raise ValueError("moebius is defined for positive integers")
-    if k == 1:
-        return 1
     result = 1
     p = 2
     while p * p <= k:
@@ -91,11 +91,6 @@ def witt(d: int, w: int) -> int:
     q, rem = divmod(s, w)
     assert rem == 0, f"Witt sum {s} not divisible by {w}"
     return q
-
-
-def commutator_length(n: int, w: int) -> int:
-    """Length of a weight-w commutator in arity n: n + (w-2)(n-1)."""
-    return n + (w - 2) * (n - 1)
 
 
 def necklace_bound(n: int, d: int, w: int) -> int:

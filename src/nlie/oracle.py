@@ -44,7 +44,13 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Optional
 
-from .terms import canonical_brackets, distinct_descending, weight, weight_multisets
+from .terms import (
+    bracket_counts,
+    canonical_brackets,
+    distinct_descending,
+    weight,
+    weight_multisets,
+)
 
 DEFAULT_CEILING = 200_000
 
@@ -86,16 +92,24 @@ def _monomials(n: int, d: int, w: int) -> dict:
     return {t: i for i, t in enumerate(terms[base[w] :])}
 
 
+def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
+    """The number of weight-w monomials, counted without building them;
+    raises InstanceCeilingExceeded when it is above `ceiling`."""
+    if n < 2 or d < 1 or w < 1:
+        raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
+    size = bracket_counts(n, d, w)[w]
+    if size > ceiling:
+        raise InstanceCeilingExceeded(
+            f"{size} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
+        )
+    return size
+
+
 def graded_monomials(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> MonomialBasis:
-    if n < 2 or d < 1 or w < 1:
-        raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
+    _slice_size(n, d, w, ceiling)
     ms = _monomials(n, d, w)
-    if len(ms) > ceiling:
-        raise InstanceCeilingExceeded(
-            f"{len(ms)} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
-        )
     return MonomialBasis(n, d, w, list(ms), dict(ms))
 
 
@@ -108,9 +122,7 @@ def _contexts(n: int, w: int, v: int, pools) -> list:
         return [()]
     out = []
     for sub_w in range(v, w):
-        sib_total = w + n - 2 - sub_w
-        if sib_total < n - 1:
-            continue
+        sib_total = w + n - 2 - sub_w  # >= n - 1, as sub_w < w
         subs = _contexts(n, sub_w, v, pools)
         for sibs in _choices(sib_total, n - 1, pools):
             for sub in subs:
@@ -283,16 +295,16 @@ def graded_dimension(
         dim = _read_cell(cache_path, n, d, w)
         if dim is not None:
             return dim
-    basis = graded_monomials(n, d, w, ceiling=ceiling)
+    size = _slice_size(n, d, w, ceiling)
     ech = _relation_space(n, d, w)
-    dim = len(basis.monomials) - ech.rank
+    dim = size - ech.rank
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
         rec = {
             "n": n,
             "d": d,
             "w": w,
-            "basis_size": len(basis.monomials),
+            "basis_size": size,
             "rank": ech.rank,
             "dim": dim,
         }

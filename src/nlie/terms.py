@@ -15,13 +15,14 @@ with no whitespace.
 Weights follow the grading of the lower central series: a generator has
 weight 1 and a bracket of children with weights w_1..w_n has weight
 sum(w_i) - (n - 2).  With this rule the length (number of generator
-occurrences) of any weight-w term is n + (w - 2)(n - 1).
+occurrences) of any weight-w term is `commutator_length(n, w)`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Optional, Union
 
 Term = Union[int, tuple]
@@ -116,6 +117,12 @@ def length(t: Term) -> int:
     if is_leaf(t):
         return 1
     return sum(length(c) for c in t)
+
+
+def commutator_length(n: int, w: int) -> int:
+    """Length of every weight-w term in arity n: n + (w-2)(n-1), which is
+    1 at w = 1."""
+    return n + (w - 2) * (n - 1)
 
 
 def term_key(t: Term, n: int):
@@ -254,6 +261,23 @@ def canonical_brackets(n: int, d: int, w: int, keep=None):
         pools[v] = range(base[v], len(terms))
     base[w + 1] = len(terms)
     return terms, base, bracket
+
+
+def bracket_counts(n: int, d: int, w: int) -> list:
+    """counts[v] = the number of brackets `canonical_brackets(n, d, w)`
+    builds at weight v, for v = 1..w (counts[0] is 0), without building
+    them.  It walks the same weight profiles: a run of k equal child
+    weights u contributes the C(counts[u], k) strictly descending picks."""
+    counts = [0, d]
+    for v in range(2, w + 1):
+        total = 0
+        for ws in weight_multisets(v + n - 2, n, v - 1):
+            picks = 1
+            for u, group in itertools.groupby(ws):
+                picks *= comb(counts[u], len(list(group)))
+            total += picks
+        counts.append(total)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -80,17 +80,66 @@ def test_modes_agree_on_small_slices():
 
 def test_enumerate_sorted_canonical_and_basic():
     for mode in (FULL, LEFT):
-        for n, d, w in [(2, 3, 4), (3, 3, 4), (3, 4, 3), (4, 4, 3)]:
-            items = enumerate_basic(n, d, w, mode)
-            assert len(items) == count_by_enumeration(n, d, w, mode)
-            keys = [term_key(bc.term, n) for bc in items]
-            assert keys == sorted(keys)
-            for bc in items:
-                assert isinstance(bc, BasicCommutator)
-                assert is_canonical(bc.term, n)
-                assert is_basic(bc.term, n, mode)
-                assert bc.weight == w
-                assert bc.length == n + (w - 2) * (n - 1)
+        for n in range(2, 5):
+            for d in range(n, n + 3):
+                for w in range(2, 6):
+                    if (n, d, w, mode) == (4, 6, 5, FULL):
+                        continue  # 88511 basics
+                    _check_enumeration(n, d, w, mode)
+
+
+def _check_enumeration(n, d, w, mode):
+    items = enumerate_basic(n, d, w, mode)
+    assert len(items) == count_by_enumeration(n, d, w, mode)
+    keys = [term_key(bc.term, n) for bc in items]
+    assert keys == sorted(keys)
+    for bc in items:
+        assert isinstance(bc, BasicCommutator)
+        assert is_canonical(bc.term, n)
+        assert is_basic(bc.term, n, mode)
+        assert bc.weight == w
+        assert bc.length == n + (w - 2) * (n - 1)
+
+
+def test_is_basic_walks_deep_terms():
+    # left-nested n = 2 terms of depth 600, basic in both readings
+    t = (2, 1)
+    for _ in range(599):
+        t = (t, 2)
+    # the same with the descent broken at the second level only
+    u = ((2, 1), 2), 1
+    for _ in range(598):
+        u = (u, 2)
+    for mode in (FULL, LEFT):
+        assert is_basic(t, 2, mode)
+        assert not is_basic(u, 2, mode)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+
+    def counted(n, d, w, keep=None):
+        builds.append((n, d, w))
+        return canonical_brackets(n, d, w, keep=keep)
+
+    monkeypatch.setattr(basis, "canonical_brackets", counted)
+    return builds
+
+
+def test_enumerate_builds_a_full_rule3_cell_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    assert len(enumerate_basic(3, 4, 4, FULL)) == 106
+    assert builds == [(3, 4, 4)]
+
+
+def test_enumerate_refuses_a_closed_count_above_the_cap_unbuilt(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        enumerate_basic(3, 3, 6, LEFT, cap=10)
+    assert str(exc.value) == "15 basic commutators at (n=3, d=3, w=6) exceeds cap 10"
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_basic(3, 5, 2, FULL, cap=9)
+    assert builds == []
 
 
 @pytest.mark.parametrize("mode", [FULL, LEFT])

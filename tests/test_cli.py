@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from nlie import cli, counting
+from nlie import basis, cli, counting
 
 
 def run(capsys, *argv):
@@ -100,11 +100,27 @@ def test_rewrite_deep_term_is_one_line_error(capsys, depth, message):
 def test_oracle_ceiling_zero_blanks_the_oracle(capsys):
     code, _, err = run(capsys, "count", "--n", "2", "--d", "2", "--w", "3",
                        "--method", "oracle", "--oracle-ceiling", "0")
-    assert code == 1 and "does not apply" in err
+    assert code == 1
+    assert err == (
+        "method oracle stopped by the oracle ceiling: "
+        "2 monomials at (n=2, d=2, w=3) exceeds ceiling 0\n"
+    )
     _, out, _ = run(capsys, "compare", "--n", "2", "--d", "2", "--w-max", "2",
                     "--oracle-ceiling", "0")
     rows = parse_csv(out)
     assert [dict(zip(rows[0], r))[counting.ORACLE] for r in rows[1:]] == ["", ""]
+
+
+def test_count_names_the_enumeration_cap(capsys, monkeypatch):
+    real = basis.count_by_enumeration
+    monkeypatch.setattr(basis, "count_by_enumeration", lambda *a: real(*a, cap=10))
+    code, out, err = run(capsys, "count", "--n", "3", "--d", "5", "--w", "6",
+                         "--method", "enum-full")
+    assert (code, out) == (1, "")
+    assert err == (
+        "method enum-full stopped by the enumeration cap: "
+        "basic commutators at (n=3, d=5, w=6) exceed cap 10\n"
+    )
 
 
 def test_rewrite_budget_exhaustion(capsys):

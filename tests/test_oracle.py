@@ -308,8 +308,9 @@ def test_relation_space_built_once_per_cell_whatever_the_ceiling():
         membership({t: Fraction(1)}, 2, 2, ceiling=5)
 
 
-def test_cold_cell_builds_brackets_twice(monkeypatch):
-    # once for the monomial slice, once for the rows and their contexts
+def test_cold_cell_builds_brackets_once(monkeypatch):
+    # the slice is sized by bracket_counts; the one build serves the rows
+    # and their contexts
     builds = []
 
     def counted(*args, **kwargs):
@@ -321,7 +322,21 @@ def test_cold_cell_builds_brackets_twice(monkeypatch):
     oracle._monomials.cache_clear()
     oracle._relation_space.cache_clear()
     assert graded_dimension(2, 2, 10) == 99
-    assert builds == [(2, 2, 10), (2, 2, 10)]
+    assert builds == [(2, 2, 10)]
+
+
+def test_refused_cell_is_never_built(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built a cell above the ceiling")
+
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(oracle, "canonical_brackets", never)
+    with pytest.raises(InstanceCeilingExceeded, match="^4629138 monomials"):
+        graded_dimension(2, 4, 10, ceiling=2000)
+    with pytest.raises(InstanceCeilingExceeded, match="^29804208 monomials"):
+        graded_monomials(2, 4, 11, ceiling=2000)
+    with pytest.raises(InstanceCeilingExceeded):
+        membership({(2, 1): Fraction(1)}, 2, 4, ceiling=0)
 
 
 def test_bad_instance_rejected():

@@ -8,6 +8,7 @@ from nlie import terms
 from nlie.terms import (
     ArityError,
     TermSyntaxError,
+    bracket_counts,
     canonical_brackets,
     canonicalize,
     compare,
@@ -187,3 +188,13 @@ def test_canonical_brackets_ids_follow_term_order(cell):
     for ids, i in bracket.items():
         assert terms_by_id[i] == tuple(terms_by_id[c] for c in ids)
         assert bracket[tuple(index[c] for c in terms_by_id[i])] == i
+
+
+def test_bracket_counts_size_each_weight_of_a_build():
+    for n in range(2, 6):
+        for d in range(1, 6):
+            for w in range(1, 7 if n < 4 else 6):
+                _, base, _ = canonical_brackets(n, d, w)
+                sizes = [base[v + 1] - base[v] for v in range(1, w + 1)]
+                assert bracket_counts(n, d, w) == [0] + sizes
+
