@@ -20,11 +20,14 @@ DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
 
-# enumeration modes by their `enumerate --mode` name; the ENUM_<NAME>
-# count methods use the same names
+# enumeration modes by their count-method tag, and by their `enumerate
+# --mode` name: the tag without its ENUM_ prefix
 _ENUM_MODES = {
-    "full": basis.EnumerationMode.FULL_RULE3,
-    "left": basis.EnumerationMode.LEFT_NORMED,
+    counting.ENUM_FULL: basis.EnumerationMode.FULL_RULE3,
+    counting.ENUM_LEFT: basis.EnumerationMode.LEFT_NORMED,
+}
+_MODE_NAMES = {
+    tag.removeprefix("ENUM_").lower(): mode for tag, mode in _ENUM_MODES.items()
 }
 
 # the bounds that can stop a method, by the exception they raise
@@ -37,9 +40,8 @@ _BOUNDS = {
 def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
     """Value of one method on one cell, or None when it does not apply.
     Raises one of the `_BOUNDS` exceptions when a bound stops it."""
-    if tag.startswith("ENUM_"):
-        mode = _ENUM_MODES[tag.removeprefix("ENUM_").lower()]
-        return basis.count_by_enumeration(n, d, w, mode)
+    if tag in _ENUM_MODES:
+        return basis.count_by_enumeration(n, d, w, _ENUM_MODES[tag])
     if tag == counting.ORACLE:
         return oracle.graded_dimension(n, d, w, ceiling=oracle_ceiling)
     return counting.count_by_method(tag, n, d, w)
@@ -68,7 +70,7 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        items = basis.enumerate_basic(args.n, args.d, args.w, _ENUM_MODES[args.mode])
+        items = basis.enumerate_basic(args.n, args.d, args.w, _MODE_NAMES[args.mode])
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=_int_at_least(2), required=True)
     e.add_argument("--d", type=_int_at_least(1), required=True)
     e.add_argument("--w", type=_int_at_least(1), required=True)
-    e.add_argument("--mode", choices=list(_ENUM_MODES), default="full")
+    e.add_argument("--mode", choices=list(_MODE_NAMES), default="full")
     e.add_argument("--format", choices=["text", "json"], default="text")
     e.set_defaults(func=cmd_enumerate)
 

@@ -13,7 +13,8 @@ distinct, ordered choices span everything).  Instances are generated at
 every hole position, not only the root.
 
 Rows are generated on the integer ids of one `terms.canonical_brackets`
-build, which compare as terms do.  Contexts come from the same build: each
+build, which compare as terms do; the same build lists the slice, after
+`terms.bracket_counts` has sized it against the ceiling.  Contexts come from the same build: each
 is the tuple of sibling-id tuples on the path from the hole to the root.
 The Jacobi element of each (M, Y) is canonicalized once; plugging it into
 a context re-sorts only the brackets on that path, each by inserting one
@@ -84,20 +85,28 @@ def _choices(total: int, parts: int, pools) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _monomials(n: int, d: int, w: int) -> dict:
+_MONOMIALS: dict = {}  # (n, d, w) -> the cell's `_monomials`
+
+
+def _monomials(n: int, d: int, w: int, build=None) -> dict:
     """All canonical nonzero monomials of weight w on d letters, ascending,
-    each mapped to its position."""
-    terms, base, _ = canonical_brackets(n, d, w)
-    return {t: i for i, t in enumerate(terms[base[w] :])}
+    each mapped to its position.  Listed once per cell, from `build` (the
+    cell's canonical_brackets result) when the caller has one."""
+    ms = _MONOMIALS.get((n, d, w))
+    if ms is None:
+        terms, base, _ = build or canonical_brackets(n, d, w)
+        ms = _MONOMIALS[n, d, w] = {t: i for i, t in enumerate(terms[base[w] :])}
+    return ms
 
 
 def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
-    """The number of weight-w monomials, counted without building them;
-    raises InstanceCeilingExceeded when it is above `ceiling`."""
+    """The number of weight-w monomials, counted without building them
+    unless the cell is already listed; raises InstanceCeilingExceeded when
+    it is above `ceiling`."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
-    size = bracket_counts(n, d, w)[w]
+    ms = _MONOMIALS.get((n, d, w))
+    size = bracket_counts(n, d, w)[w] if ms is None else len(ms)
     if size > ceiling:
         raise InstanceCeilingExceeded(
             f"{size} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
@@ -146,7 +155,9 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
 
 def _instance_rows(n: int, d: int, w: int):
     """Yield every nonzero relation row, in order."""
-    _, base, bracket = canonical_brackets(n, d, w)
+    build = canonical_brackets(n, d, w)
+    _monomials(n, d, w, build)  # the same build lists the slice
+    _, base, bracket = build
     pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
     # one shared int per column (as in basis.index), not one per row entry
     column = {i: i - base[w] for i in pools[w]}
@@ -188,8 +199,9 @@ def _instance_rows(n: int, d: int, w: int):
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
-    basis = graded_monomials(n, d, w, ceiling=ceiling)
-    return RelationMatrix(basis, list(_instance_rows(n, d, w)))
+    _slice_size(n, d, w, ceiling)  # refuse the cell before any build
+    rows = list(_instance_rows(n, d, w))  # a cold cell's one build
+    return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 
 class _Echelon:
@@ -256,7 +268,7 @@ class _Echelon:
 def _relation_space(n: int, d: int, w: int) -> _Echelon:
     """The echelon of a cell's relations.  Keyed on the cell alone, so a
     cell is built once whatever ceilings ask for it: callers check their
-    ceiling first, with graded_monomials.
+    ceiling first, with _slice_size or graded_monomials.
 
     A row whose normalized form was already fed in is skipped.  The key
     is the normalized row itself, as a flat tuple of its sorted (column,
@@ -295,8 +307,9 @@ def graded_dimension(
         dim = _read_cell(cache_path, n, d, w)
         if dim is not None:
             return dim
-    size = _slice_size(n, d, w, ceiling)
-    ech = _relation_space(n, d, w)
+    _slice_size(n, d, w, ceiling)  # refuse the cell before any build
+    ech = _relation_space(n, d, w)  # a cold cell's one build
+    size = len(graded_monomials(n, d, w, ceiling=ceiling).monomials)
     dim = size - ech.rank
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
@@ -357,8 +370,9 @@ def membership(
     if len(weights) != 1:
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
+    _slice_size(n, d, w, ceiling)  # refuse the cell before any build
+    ech = _relation_space(n, d, w)  # a cold cell's one build
     basis = graded_monomials(n, d, w, ceiling=ceiling)
-    ech = _relation_space(n, d, w)
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
     row: dict[int, int] = {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import NamedTuple, Optional, Union
 
 Term = Union[int, tuple]
@@ -210,6 +210,17 @@ def weight_multisets(total: int, parts: int, cap: int):
             yield (first,) + rest
 
 
+def _child_profiles(n: int, v: int):
+    """The child weights of a weight-v bracket: non-increasing n-tuples of
+    weights below v that sum to v + n - 2."""
+    return weight_multisets(v + n - 2, n, v - 1)
+
+
+def _runs(ws: tuple) -> list:
+    """(w, count) for each run of `count` equal weights w in ws."""
+    return [(w, len(list(group))) for w, group in itertools.groupby(ws)]
+
+
 def distinct_descending(ws: tuple, pools):
     """All strictly descending child tuples whose weights are exactly `ws`
     (non-increasing), children drawn from pools[w] (each pool ascending in
@@ -217,8 +228,7 @@ def distinct_descending(ws: tuple, pools):
     a strictly descending combination; across different weights descent
     is automatic."""
     per_run = []
-    for w, group in itertools.groupby(ws):
-        count = len(list(group))
+    for w, count in _runs(ws):
         pool = pools[w]
         if len(pool) < count:
             return
@@ -248,7 +258,7 @@ def canonical_brackets(n: int, d: int, w: int, keep=None):
     pools = {1: range(d)}
     for v in range(2, w + 1):
         found = []
-        for ws in weight_multisets(v + n - 2, n, v - 1):
+        for ws in _child_profiles(n, v):
             for ids in distinct_descending(ws, pools):
                 t = tuple(terms[i] for i in ids)
                 if keep is None or keep(t, ws):
@@ -266,17 +276,16 @@ def canonical_brackets(n: int, d: int, w: int, keep=None):
 def bracket_counts(n: int, d: int, w: int) -> list:
     """counts[v] = the number of brackets `canonical_brackets(n, d, w)`
     builds at weight v, for v = 1..w (counts[0] is 0), without building
-    them.  It walks the same weight profiles: a run of k equal child
+    them.  It walks the build's `_child_profiles`: a run of k equal child
     weights u contributes the C(counts[u], k) strictly descending picks."""
     counts = [0, d]
     for v in range(2, w + 1):
-        total = 0
-        for ws in weight_multisets(v + n - 2, n, v - 1):
-            picks = 1
-            for u, group in itertools.groupby(ws):
-                picks *= comb(counts[u], len(list(group)))
-            total += picks
-        counts.append(total)
+        counts.append(
+            sum(
+                prod(comb(counts[u], k) for u, k in _runs(ws))
+                for ws in _child_profiles(n, v)
+            )
+        )
     return counts
 
 

@@ -309,8 +309,8 @@ def test_relation_space_built_once_per_cell_whatever_the_ceiling():
 
 
 def test_cold_cell_builds_brackets_once(monkeypatch):
-    # the slice is sized by bracket_counts; the one build serves the rows
-    # and their contexts
+    # the slice is sized by bracket_counts; the one build serves the rows,
+    # their contexts and the monomial list
     builds = []
 
     def counted(*args, **kwargs):
@@ -319,10 +319,19 @@ def test_cold_cell_builds_brackets_once(monkeypatch):
 
     monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
     monkeypatch.setattr(oracle, "canonical_brackets", counted)
-    oracle._monomials.cache_clear()
+    oracle._MONOMIALS.clear()
     oracle._relation_space.cache_clear()
     assert graded_dimension(2, 2, 10) == 99
+    assert len(graded_monomials(2, 2, 10).monomials) == 99 + oracle._relation_space(2, 2, 10).rank
     assert builds == [(2, 2, 10)]
+    # and so do a cold membership and relation_rows
+    oracle._MONOMIALS.clear()
+    oracle._relation_space.cache_clear()
+    assert membership({(2, 1): Fraction(1)}, 2, 2) is False
+    assert builds == [(2, 2, 10), (2, 2, 2)]
+    oracle._MONOMIALS.clear()
+    assert len(relation_rows(2, 2, 5).rows) > 0
+    assert builds == [(2, 2, 10), (2, 2, 2), (2, 2, 5)]
 
 
 def test_refused_cell_is_never_built(monkeypatch):
