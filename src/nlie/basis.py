@@ -2,12 +2,15 @@
 
 One recursive definition serves all three: a generator is basic, and a
 canonical bracket is basic when all its children are basic and it passes
-the local rule of the chosen reading.  `is_basic` checks this in one walk
-that passes each child's weight up to its parent; the enumerator builds
-exactly these brackets weight by weight with `terms.canonical_brackets`,
-keeping a candidate when its rule holds.  The canonical order already
-gives non-increasing child weights, strict descent among equal weights,
-and children lighter than the bracket.
+the local rule of the chosen reading.  A rule sees a bracket's child
+handles, their weights, and sub(h), the child handles of h (() for a
+generator); handles compare as the terms they stand for.  `is_basic`
+walks the term keys that its canonicity check computes; the enumerator
+builds exactly the basic brackets weight by weight with
+`terms.canonical_brackets`, whose ids are the handles, keeping a
+candidate when its rule holds.  The canonical order already gives
+non-increasing child weights, strict descent among equal weights, and
+children lighter than the bracket.
 
 Counts are closed forms at weights 1 and 2 and at every LEFT_NORMED
 weight; FULL_RULE3 from weight 3 on is counted by its one build, which
@@ -39,14 +42,7 @@ from enum import Enum
 from math import comb
 from typing import NamedTuple
 
-from .terms import (
-    Term,
-    canonical_brackets,
-    commutator_length,
-    is_canonical,
-    is_leaf,
-    term_key,
-)
+from .terms import Term, _canonical, canonical_brackets, commutator_length
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -66,28 +62,24 @@ class BasicCommutator(NamedTuple):
     length: int
 
 
-def _tuple_key(leaves: tuple) -> tuple:
-    # right-to-left first-difference order on descending leaf tuples
-    return tuple(reversed(leaves))
-
-
-def _descent_rule(t: tuple, kws, n: int) -> bool:
-    """At every weight descent (child weights `kws`) the heavier child, a
-    bracket, has its last component <= the last child of t."""
-    last_key = term_key(t[-1], n)
-    for s in range(n - 1):
-        if kws[s] > kws[s + 1] and term_key(t[s][-1], n) > last_key:
+def _descent_rule(hs, ws, sub) -> bool:
+    """At every weight descent (child weights `ws`) the heavier child, a
+    bracket, has its last child <= the last child of the bracket."""
+    last = hs[-1]
+    for s in range(len(hs) - 1):
+        if ws[s] > ws[s + 1] and sub(hs[s])[-1] > last:
             return False
     return True
 
 
-def _chain_rule(t: tuple, kws, n: int) -> bool:
+def _chain_rule(hs, ws, sub) -> bool:
     """A core of generators, or a bracket head followed by n-1 generators
     whose tail is >= the head's own tail in the right-to-left tuple
     order."""
-    if kws[1] > 1:  # weights are non-increasing: a bracket past the head
+    if ws[1] > 1:  # weights are non-increasing: a bracket past the head
         return False
-    return is_leaf(t[0]) or _tuple_key(t[1:]) >= _tuple_key(t[0][1:])
+    head = sub(hs[0])
+    return not head or hs[:0:-1] >= head[:0:-1]
 
 
 _RULES = {
@@ -96,26 +88,28 @@ _RULES = {
 }
 
 
-def _basic_weight(t: Term, n: int, rule):
-    """The weight of t when it is basic under `rule`, else None."""
-    if is_leaf(t):
-        return 1
-    kws = []
-    for c in t:
-        kw = _basic_weight(c, n, rule)
-        if kw is None:
-            return None
-        kws.append(kw)
-    return sum(kws) - (n - 2) if rule(t, kws, n) else None
+def _key_children(k) -> tuple:
+    # a bracket's key holds its children's keys in reverse; a leaf's, none
+    return k[2][::-1] if k[1] else ()
+
+
+def _basic_key(k, rule) -> bool:
+    """Whether the canonical term with key k is basic under `rule`."""
+    hs = _key_children(k)
+    for h in hs:
+        if not _basic_key(h, rule):
+            return False
+    return not hs or rule(hs, [h[0] for h in hs], _key_children)
 
 
 def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3) -> bool:
     """Whether the canonical term t is a basic commutator under `mode`.
 
     Raises ValueError on non-canonical input."""
-    if not is_canonical(t, n):
+    sign, ct, key = _canonical(t, n)
+    if sign != 1 or ct != t:
         raise ValueError(f"not a canonical term: {t!r}")
-    return _basic_weight(t, n, _RULES[mode]) is not None
+    return _basic_key(key, _RULES[mode])
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +145,9 @@ def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int) -> list:
     top = w + n - 2  # the child weights of a weight-w bracket sum to this
     kept = 0
 
-    def keep(t, ws):
+    def keep(ids, ws, sub):
         nonlocal kept
-        if not rule(t, ws, n):
+        if not rule(ids, ws, sub):
             return False
         if sum(ws) == top:
             kept += 1

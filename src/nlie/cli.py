@@ -74,19 +74,11 @@ def cmd_enumerate(args) -> int:
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    for bc in items:
+    texts = terms.format_terms(bc.term for bc in items)
+    for bc, text in zip(items, texts):
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "term": terms.format_term(bc.term),
-                        "weight": bc.weight,
-                        "length": bc.length,
-                    }
-                )
-            )
-        else:
-            print(terms.format_term(bc.term))
+            text = json.dumps({"term": text, "weight": bc.weight, "length": bc.length})
+        print(text)
     return 0
 
 

@@ -13,10 +13,9 @@ are surfaced by the comparison report, never reconciled silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import commutator_length
 
@@ -189,8 +188,7 @@ def weightw_closed_form(n: int, d: int, w: int) -> int:
     return _beta_sum(n, d) * inner
 
 
-@dataclass
-class NonbasicBreakdown:
+class NonbasicBreakdown(NamedTuple):
     """Decomposition of the d^(m_w) raw commutators of weight w."""
 
     n: int
@@ -234,8 +232,7 @@ def nonbasic_breakdown(n: int, d: int, w: int, l_source) -> NonbasicBreakdown:
 # Expansion of C(d, n) into free-Lie graded dimensions
 
 
-@dataclass
-class LieExpansion:
+class LieExpansion(NamedTuple):
     """Exact rationals c_s with C(d, n) = sum_{s=1}^n c_s * l_d(s) as a
     polynomial identity in d."""
 

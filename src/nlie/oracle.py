@@ -38,12 +38,11 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (
     bracket_counts,
@@ -61,8 +60,7 @@ class InstanceCeilingExceeded(RuntimeError):
     """The monomial slice is larger than the configured ceiling."""
 
 
-@dataclass
-class MonomialBasis:
+class MonomialBasis(NamedTuple):
     n: int
     d: int
     w: int
@@ -70,8 +68,7 @@ class MonomialBasis:
     index: dict  # Term -> position
 
 
-@dataclass
-class RelationMatrix:
+class RelationMatrix(NamedTuple):
     basis: MonomialBasis
     rows: list  # sparse integer rows: dict column -> coefficient
 

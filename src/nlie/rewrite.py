@@ -19,7 +19,6 @@ flag on the trace, never silently.  All coefficients are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -40,14 +39,14 @@ JACOBI = "JACOBI"
 ZERO = "ZERO"
 
 
-@dataclass
 class RewriteTrace:
     """Audit log of a collecting run: (rule, node path, size before,
     size after) per step, where sizes count terms in the working
     combination."""
 
-    steps: list = field(default_factory=list)
-    capped: bool = False
+    def __init__(self):
+        self.steps: list = []
+        self.capped = False
 
     def record(self, rule: str, path: tuple, before: int, after: int) -> None:
         self.steps.append((rule, path, before, after))

@@ -107,6 +107,22 @@ def format_term(t: Term) -> str:
     return "[" + ",".join(format_term(c) for c in t) + "]"
 
 
+def format_terms(ts):
+    """Yield format_term(t) for each t in ts, in order.  Proper subterms
+    are memoized across the list, so each distinct one is formatted once;
+    the yielded strings themselves are not kept."""
+    memo: dict = {}
+
+    def fmt(t):
+        s = memo.get(t)
+        if s is None:
+            s = memo[t] = f"x{t}" if is_leaf(t) else "[" + ",".join(map(fmt, t)) + "]"
+        return s
+
+    for t in ts:
+        yield f"x{t}" if is_leaf(t) else "[" + ",".join(map(fmt, t)) + "]"
+
+
 def weight(t: Term, n: int) -> int:
     if is_leaf(t):
         return 1
@@ -250,9 +266,13 @@ def canonical_brackets(n: int, d: int, w: int, keep=None):
     from children kept at lower weights and ordered by its child ids read
     right to left, which is the term order on equal-weight brackets.
 
-    With `keep`, a weight-v candidate t (child weights `ws`) is kept only
-    when keep(t, ws) holds, so every kept bracket has kept children."""
+    With `keep`, a weight-v candidate with child ids `ids` (child weights
+    `ws`) is kept only when keep(ids, ws, sub) holds, where sub(i) is the
+    tuple of child ids of id i, () for a generator.  Every kept bracket
+    has kept children, and a term tuple is built for kept brackets only."""
     terms = list(range(1, d + 1))
+    kids = [()] * d
+    sub = kids.__getitem__
     base = [0] * (w + 2)
     bracket: dict = {}
     pools = {1: range(d)}
@@ -260,14 +280,14 @@ def canonical_brackets(n: int, d: int, w: int, keep=None):
         found = []
         for ws in _child_profiles(n, v):
             for ids in distinct_descending(ws, pools):
-                t = tuple(terms[i] for i in ids)
-                if keep is None or keep(t, ws):
-                    found.append((ids, t))
-        found.sort(key=lambda pair: pair[0][::-1])
+                if keep is None or keep(ids, ws, sub):
+                    found.append(ids)
+        found.sort(key=lambda ids: ids[::-1])
         base[v] = len(terms)
-        for ids, t in found:
+        for ids in found:
             bracket[ids] = len(terms)
-            terms.append(t)
+            terms.append(tuple(map(terms.__getitem__, ids)))
+            kids.append(ids)
         pools[v] = range(base[v], len(terms))
     base[w + 1] = len(terms)
     return terms, base, bracket

@@ -150,6 +150,67 @@ def test_every_basic_monomial_is_enumerated(cell, mode):
     assert basic == [bc.term for bc in enumerate_basic(*cell, mode)]
 
 
+# The rules as they were written on terms and term_key, the reference for
+# the rules on handles.
+def _ref_descent_rule(t, kws, n):
+    last_key = term_key(t[-1], n)
+    for s in range(n - 1):
+        if kws[s] > kws[s + 1] and term_key(t[s][-1], n) > last_key:
+            return False
+    return True
+
+
+def _ref_chain_rule(t, kws, n):
+    if kws[1] > 1:
+        return False
+    return isinstance(t[0], int) or tuple(reversed(t[1:])) >= tuple(reversed(t[0][1:]))
+
+
+def _ref_basic_weight(t, n, rule):
+    if isinstance(t, int):
+        return 1
+    kws = []
+    for c in t:
+        kw = _ref_basic_weight(c, n, rule)
+        if kw is None:
+            return None
+        kws.append(kw)
+    return sum(kws) - (n - 2) if rule(t, kws, n) else None
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(2, 3, 6), (2, 2, 9), (3, 3, 6), (3, 4, 5), (3, 5, 4), (4, 5, 4), (4, 4, 5), (5, 5, 4)],
+)
+def test_is_basic_matches_the_term_walk(cell):
+    n = cell[0]
+    for t in graded_monomials(*cell).monomials:
+        for mode, rule in [(FULL, _ref_descent_rule), (LEFT, _ref_chain_rule)]:
+            assert is_basic(t, n, mode) == (_ref_basic_weight(t, n, rule) is not None)
+
+
+@pytest.mark.parametrize("mode", [FULL, LEFT])
+def test_keep_gets_child_ids(monkeypatch, mode):
+    calls, builds = [], []
+
+    def spied(n, d, w, keep=None):
+        def spy(ids, ws, sub):
+            calls.append((ids, [sub(i) for i in ids]))
+            return keep(ids, ws, sub)
+
+        builds.append(canonical_brackets(n, d, w, keep=spy))
+        return builds[-1]
+
+    monkeypatch.setattr(basis, "canonical_brackets", spied)
+    enumerate_basic(3, 4, 5, mode)
+    children = {i: ids for ids, i in builds[0][2].items()}
+    assert calls
+    for ids, subs in calls:
+        assert all(type(i) is int for i in ids)
+        # sub(i) is the child ids of kept bracket i, () for a generator
+        assert subs == [children.get(i, ()) for i in ids]
+
+
 def test_left_normed_chain_condition():
     # core [x3,x2,x1] has tail (2,1); tail (2,1) repeats fine
     t = (((3, 2, 1), 2, 1), 2, 1)
@@ -180,9 +241,9 @@ def test_full_rule3_count_stops_at_the_cap(monkeypatch):
     examined, finished = [], []
 
     def spied(n, d, w, keep=None):
-        def spy(t, ws):
+        def spy(ids, ws, *rest):
             examined.append(sum(ws) == w + n - 2)
-            return keep(t, ws)
+            return keep(ids, ws, *rest)
 
         out = canonical_brackets(n, d, w, keep=spy)
         finished.append(True)

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def python_with_src(*argv, **kwargs):
+    """A child interpreter with this checkout's src first on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
 
 
 def parse_csv(text):
@@ -70,6 +82,27 @@ def test_enumerate_modes_differ(capsys):
                      "--mode", "left")
     assert len(full.strip().splitlines()) == 7
     assert len(left.strip().splitlines()) == 6
+
+
+def test_enumerate_streams_to_a_reader_that_stops_early():
+    proc = python_with_src(
+        "-m", "nlie.cli", "enumerate", "--n", "4", "--d", "6", "--w", "5",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first == b"[[[[x4,x3,x2,x1],x3,x2,x1],x3,x2,x1],x3,x2,x1]\n"
+    assert proc.returncode == 0 and err == b""
+
+
+def test_cli_import_leaves_out_dataclasses():
+    proc = python_with_src(
+        "-S", "-c", "import sys, nlie.cli; print('dataclasses' in sys.modules)",
+        stdout=subprocess.PIPE, text=True,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out == "False\n"
 
 
 def test_rewrite(capsys):

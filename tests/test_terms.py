@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_term
 from nlie import terms
+from nlie.oracle import graded_monomials
 from nlie.terms import (
     ArityError,
     TermSyntaxError,
@@ -13,6 +14,7 @@ from nlie.terms import (
     canonicalize,
     compare,
     format_term,
+    format_terms,
     is_canonical,
     lc_add,
     lc_format,
@@ -59,6 +61,18 @@ def test_parse_arity_mismatch():
         parse("[x1,x2,x3]", 2)
     with pytest.raises(ArityError):
         parse("[x1,x2]", 3)
+
+
+def test_format_terms_formats_each_term_as_format_term():
+    for cell in [(2, 3, 6), (3, 4, 5), (4, 5, 4)]:
+        ms = graded_monomials(*cell).monomials
+        assert list(format_terms(ms)) == [format_term(t) for t in ms]
+    # a repeated term, a term that is also a subterm, shared and
+    # equal-but-distinct subterms, and a leaf
+    core = (3, 2, 1)
+    ts = [(core, 2, 1), core, ((core, 2, 1), 3, 1), (core, 2, 1), 4, (((3, 2, 1), 2, 1), 4, 1)]
+    assert list(format_terms(ts)) == [format_term(t) for t in ts]
+    assert list(format_terms(iter(ts))) == [format_term(t) for t in ts]
 
 
 def test_weight_and_length():
