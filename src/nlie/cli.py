@@ -12,10 +12,16 @@ import argparse
 import csv
 import json
 import sys
+from itertools import islice
 
 from . import basis, counting, oracle, rewrite, terms
 
 DEFAULT_COMPARE_ORACLE_CEILING = 2_000
+
+# `enumerate` writes its lines in blocks of this many, one write call
+# each: under write-through stdout (PYTHONUNBUFFERED) a write per line
+# is a system call per line, and a bounded block keeps memory flat
+ENUMERATE_BLOCK_LINES = 1024
 
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
@@ -74,11 +80,14 @@ def cmd_enumerate(args) -> int:
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    texts = terms.format_terms(bc.term for bc in items)
-    for bc, text in zip(items, texts):
-        if args.format == "json":
-            text = json.dumps({"term": text, "weight": bc.weight, "length": bc.length})
-        print(text)
+    lines = terms.format_terms(bc.term for bc in items)
+    if args.format == "json":
+        lines = (
+            json.dumps({"term": text, "weight": bc.weight, "length": bc.length})
+            for bc, text in zip(items, lines)
+        )
+    while block := list(islice(lines, ENUMERATE_BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
     return 0
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -328,9 +327,12 @@ def _read_cell(path: str, n: int, d: int, w: int) -> Optional[int]:
     try:
         with open(path) as fh:
             rec = json.load(fh)
-        if [rec["n"], rec["d"], rec["w"]] == [n, d, w] and isinstance(rec["dim"], int):
+        if [rec["n"], rec["d"], rec["w"]] != [n, d, w]:
+            problem = f"is not a record of (n={n}, d={d}, w={w})"
+        elif type(rec["dim"]) is not int or rec["dim"] < 0:  # a bool is an int
+            problem = f"holds no dimension (dim={rec['dim']!r})"
+        else:
             return rec["dim"]
-        problem = f"is not a record of (n={n}, d={d}, w={w})"
     except FileNotFoundError:
         return None
     except (OSError, ValueError, TypeError, KeyError) as exc:
@@ -343,6 +345,8 @@ def _write_cell(path: str, rec: dict) -> None:
     """Write a record to a temp file in the same directory, flushed to
     disk, then rename it over `path`: readers see the old record or the
     whole new one, never a truncated file."""
+    import tempfile  # only a cache write needs it; it slows a cold import
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

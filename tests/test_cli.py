@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from nlie import basis, cli, counting
+from nlie import basis, cli, counting, terms
 
 
 def run(capsys, *argv):
@@ -84,7 +85,43 @@ def test_enumerate_modes_differ(capsys):
     assert len(left.strip().splitlines()) == 6
 
 
-def test_enumerate_streams_to_a_reader_that_stops_early():
+class WriteThroughStdout(io.StringIO):
+    """Stands in for stdout under PYTHONUNBUFFERED, where every write
+    call is one system call; counts the calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt, cell, count", [("text", (4, 6, 5), 88511),
+                                              ("json", (3, 4, 5), 612)])
+def test_enumerate_writes_in_blocks(monkeypatch, fmt, cell, count):
+    n, d, w = cell
+    items = basis.enumerate_basic(n, d, w, basis.EnumerationMode.FULL_RULE3)
+    lines = [terms.format_term(bc.term) for bc in items]
+    if fmt == "json":
+        lines = [json.dumps({"term": t, "weight": bc.weight, "length": bc.length})
+                 for bc, t in zip(items, lines)]
+    out = WriteThroughStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["enumerate", "--n", str(n), "--d", str(d), "--w", str(w),
+                     "--format", fmt]) == 0
+    assert len(lines) == count
+    assert out.getvalue() == "".join(line + "\n" for line in lines)
+    assert out.writes <= -(-count // cli.ENUMERATE_BLOCK_LINES) + 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_enumerate_streams_to_a_reader_that_stops_early(monkeypatch, unbuffered):
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     proc = python_with_src(
         "-m", "nlie.cli", "enumerate", "--n", "4", "--d", "6", "--w", "5",
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -103,6 +140,67 @@ def test_cli_import_leaves_out_dataclasses():
     )
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0 and out == "False\n"
+
+
+PUBLIC_NAMES = [
+    "BasicCommutator", "EnumerationCapExceeded", "EnumerationMode",
+    "InstanceCeilingExceeded", "LieExpansion", "NonbasicBreakdown",
+    "RewriteTrace", "SignedTerm", "Term", "basis", "canonicalize", "collect",
+    "collect_lc", "compare", "count_by_enumeration", "count_via_lie",
+    "count_weight2", "counting", "enumerate_basic", "expand_jacobi",
+    "format_term", "graded_dimension", "graded_monomials", "is_basic", "ladder",
+    "ladder_recursive", "lc_format", "lcs_quotient_dim", "length",
+    "lie_expansion", "membership", "moebius", "necklace_bound",
+    "nonbasic_breakdown", "oracle", "parse", "relation_rows", "rewrite", "terms",
+    "weight", "weight3_closed_form", "weight4_closed_form", "weightw_closed_form",
+    "witt",
+]
+
+
+def child_output(code):
+    """stdout of `code` run in a fresh interpreter without site packages."""
+    proc = python_with_src("-S", "-c", code, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    return out
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('nlie.')))"
+
+
+def test_import_nlie_loads_no_submodule():
+    assert child_output("import sys, nlie; " + LOADED) == "[]\n"
+
+
+def test_a_public_name_loads_only_the_modules_it_needs():
+    code = "import sys; from nlie import graded_dimension; " + LOADED
+    assert child_output(code) == "['nlie.oracle', 'nlie.terms']\n"
+
+
+def test_public_names_resolve_on_first_use():
+    # dir() is read before any name is used; a name resolves when it is
+    # one of the loaded submodules or the same object as in one of them
+    code = textwrap.dedent("""
+        import json, sys, nlie
+        listed = sorted(set(nlie.__all__) - set(dir(nlie)))
+        mods = ["basis", "counting", "oracle", "rewrite", "terms"]
+        unresolved = []
+        for name in nlie.__all__:
+            obj = getattr(nlie, name)
+            homes = [sys.modules[f"nlie.{m}"] for m in mods if f"nlie.{m}" in sys.modules]
+            if obj not in homes and not any(getattr(h, name, None) is obj for h in homes):
+                unresolved.append(name)
+        try:
+            nlie.no_such_name
+            unknown = None
+        except AttributeError as exc:
+            unknown = str(exc)
+        print(json.dumps([nlie.__all__, listed, unresolved, unknown]))
+    """)
+    names, not_in_dir, unresolved, unknown = json.loads(child_output(code))
+    assert names == PUBLIC_NAMES
+    assert not_in_dir == [] and unresolved == []
+    assert unknown == "module 'nlie' has no attribute 'no_such_name'"
 
 
 def test_rewrite(capsys):

@@ -397,6 +397,17 @@ def test_cache_record_of_another_cell_is_recomputed(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+@pytest.mark.parametrize("dim", [True, -4])
+def test_cache_record_without_a_dimension_is_recomputed(tmp_path, dim):
+    path = tmp_path / "cell_n2_d2_w5.json"
+    rec = {"n": 2, "d": 2, "w": 5, "basis_size": 14, "rank": 8, "dim": dim}
+    path.write_text(json.dumps(rec))
+    with pytest.warns(RuntimeWarning, match="holds no dimension"):
+        assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+    rec = json.loads(path.read_text())
+    assert (rec["n"], rec["d"], rec["w"], rec["dim"]) == (2, 2, 5, 6)
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(oracle.CACHE_ENV_VAR, str(tmp_path))
     graded_dimension(2, 2, 3)
