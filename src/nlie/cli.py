@@ -14,7 +14,7 @@ import json
 import sys
 from itertools import islice
 
-from . import basis, counting, oracle, rewrite, terms
+from . import basis, counting, rewrite, terms
 
 DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 
@@ -36,19 +36,27 @@ _MODE_NAMES = {
     tag.removeprefix("ENUM_").lower(): mode for tag, mode in _ENUM_MODES.items()
 }
 
-# the bounds that can stop a method, by the exception they raise
-_BOUNDS = {
-    basis.EnumerationCapExceeded: "enumeration cap",
-    oracle.InstanceCeilingExceeded: "oracle ceiling",
-}
+
+def _bounds() -> dict:
+    """The bounds that can stop a method, by the exception they raise.
+    An except clause calls this only once something is raised, so a
+    command that never asks the oracle never imports `nlie.oracle`."""
+    from . import oracle
+
+    return {
+        basis.EnumerationCapExceeded: "enumeration cap",
+        oracle.InstanceCeilingExceeded: "oracle ceiling",
+    }
 
 
 def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
     """Value of one method on one cell, or None when it does not apply.
-    Raises one of the `_BOUNDS` exceptions when a bound stops it."""
+    Raises one of the `_bounds()` exceptions when a bound stops it."""
     if tag in _ENUM_MODES:
         return basis.count_by_enumeration(n, d, w, _ENUM_MODES[tag])
     if tag == counting.ORACLE:
+        from . import oracle
+
         return oracle.graded_dimension(n, d, w, ceiling=oracle_ceiling)
     return counting.count_by_method(tag, n, d, w)
 
@@ -58,9 +66,9 @@ def cmd_count(args) -> int:
         value = _cell_value(
             _METHOD_NAMES[args.method], args.n, args.d, args.w, args.oracle_ceiling
         )
-    except tuple(_BOUNDS) as exc:
+    except tuple(_bounds()) as exc:
         print(
-            f"method {args.method} stopped by the {_BOUNDS[type(exc)]}: {exc}",
+            f"method {args.method} stopped by the {_bounds()[type(exc)]}: {exc}",
             file=sys.stderr,
         )
         return 1
@@ -196,7 +204,7 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
         for tag in counting.METHODS:
             try:
                 values[tag] = _cell_value(tag, n, d, w, oracle_ceiling)
-            except tuple(_BOUNDS):
+            except tuple(_bounds()):
                 values[tag] = None
         flags = discrepancy_flags(n, d, values)
         row = [str(n), str(d), str(w)]

@@ -14,22 +14,45 @@ every hole position, not only the root.
 
 Rows are generated on the integer ids of one `terms.canonical_brackets`
 build, which compare as terms do; the same build lists the slice, after
-`terms.bracket_counts` has sized it against the ceiling.  Contexts come from the same build: each
-is the tuple of sibling-id tuples on the path from the hole to the root.
-The Jacobi element of each (M, Y) is canonicalized once; plugging it into
-a context re-sorts only the brackets on that path, each by inserting one
-id among siblings that are already sorted.  Terms appear only at the API
-boundary: `graded_monomials` lists the slice, and `membership` maps a
-combination of terms onto its columns.
+`terms.bracket_counts` has sized it against the ceiling.  Contexts come
+from the same build: each is the tuple of sibling-id tuples on the path
+from the hole to the root.  The Jacobi element of each (M, Y) is
+canonicalized once; plugging it into a context re-sorts only the brackets
+on that path, each by inserting one id among siblings that are already
+sorted.  Terms appear only at the API boundary: `graded_monomials` lists
+the slice, and `membership` maps a combination of terms onto its columns.
+
+Content blocks.  Every term of an instance has the same letter content
+(the number of occurrences of each generator), so the relations split
+into one block per content, the fine grading of the free Lie algebra
+(Reutenauer, Free Lie Algebras, 1993).  Permuting the letters maps a
+block onto the block of the permuted content, relations onto relations,
+so only one block per partition lam of the commutator length into at
+most d parts is built: the one whose content is lam itself, sorted
+non-increasing.  Its rows come from pools cut to the ids of content
+<= lam, with the contexts of the cell built once and indexed by the
+content of their siblings.  Then
+
+    dim = sum over lam of (|block lam| - rank lam) * d! / prod(mult!),
+
+where mult counts the equal parts of lam, zeros included.  At n = 2 a
+block generates only the instances with y < m_2 < m_1: after
+skew-symmetry J(a, b, c) = [[a,b],c] - [[a,c],b] - [a,[b,c]] is the cyclic
+sum [[a,b],c] + [[b,c],a] + [[c,a],b], which is alternating, so a
+permuted triple gives plus or minus the same element and a triple with a
+repeat gives 0.  For n >= 3 every instance is kept.  `relation_rows`
+uses the same generator with no content budget: every row of the slice,
+in the order generated.
 
 The graded dimension is |monomials| - rank(instances), with rank computed
 by exact integer fraction-free elimination.  No floating point, no
 modular shortcuts.  Each row is normalized (divided by the gcd of its
 entries, positive at its largest column) and skipped if the same row was
-already fed in: at n = 2 only about a third of the rows are distinct.  The
-echelon pivots on each row's largest column, which limits fill-in in the
-spirit of Markowitz (1957) and of the structured Gaussian elimination of
-LaMacchia and Odlyzko (1990), and updates the row being reduced in place.
+already fed in.  The echelon pivots on each row's largest column, which
+limits fill-in in the spirit of Markowitz (1957) and of the structured
+Gaussian elimination of LaMacchia and Odlyzko (1990), and updates the
+row being reduced in place.  A block's distinct rows are fed in
+ascending order of their largest column, so most rows meet few pivots.
 """
 
 from __future__ import annotations
@@ -37,15 +60,18 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional
 
 from .terms import (
     bracket_counts,
     canonical_brackets,
+    commutator_length,
     distinct_descending,
     weight,
     weight_multisets,
@@ -118,20 +144,23 @@ def graded_monomials(
     return MonomialBasis(n, d, w, list(ms), dict(ms))
 
 
-def _contexts(n: int, w: int, v: int, pools) -> list:
+def _contexts(n: int, w: int, v: int, pools, content) -> list:
     """Monomials of weight w with one hole standing for a weight-v
-    subterm, each as the strictly descending sibling-id tuples of the
-    brackets on its path, from the hole to the root; the hole is the first
-    child of each.  Sibling ids are drawn from `pools` (weight -> ids)."""
+    subterm, as (sibling content, spine) pairs.  A spine is the strictly
+    descending sibling-id tuples of the brackets on the hole's path, from
+    the hole to the root; the hole is the first child of each.  Sibling
+    ids are drawn from `pools` (weight -> ids), and the sibling content is
+    the packed letter content of all of them (`content`: id -> content)."""
     if w == v:
-        return [()]
+        return [(0, ())]
     out = []
     for sub_w in range(v, w):
         sib_total = w + n - 2 - sub_w  # >= n - 1, as sub_w < w
-        subs = _contexts(n, sub_w, v, pools)
+        subs = _contexts(n, sub_w, v, pools, content)
         for sibs in _choices(sib_total, n - 1, pools):
-            for sub in subs:
-                out.append(sub + (sibs,))
+            c = sum(map(content.__getitem__, sibs))
+            for sub_c, sub in subs:
+                out.append((sub_c + c, sub + (sibs,)))
     return out
 
 
@@ -149,54 +178,154 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
     return (-coeff if (pos - q) & 1 else coeff), bracket[sibs[:q] + (x,) + sibs[q:]]
 
 
-def _instance_rows(n: int, d: int, w: int):
-    """Yield every nonzero relation row, in order."""
-    build = canonical_brackets(n, d, w)
-    _monomials(n, d, w, build)  # the same build lists the slice
-    _, base, bracket = build
-    pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
-    # one shared int per column (as in basis.index), not one per row entry
-    column = {i: i - base[w] for i in pools[w]}
-    for v in range(2, w + 1):
-        spines = _contexts(n, w, v, pools)
-        # all (M, Y) with weight([[M], Y]) == v
-        for wb in range(2, v):
-            y_choices = _choices(v - wb + n - 2, n - 1, pools)
-            for ms in _choices(wb + n - 2, n, pools):
-                for ys in y_choices:
-                    # [[M], Y] - sum_i [m_1,..,[m_i, Y],..,m_n] as {id: coeff}
-                    parts = [_put(bracket, 1, 0, bracket[ms], ys)]
-                    for i, m in enumerate(ms):
-                        inner = _put(bracket, -1, 0, m, ys)
-                        if inner is not None:
-                            rest = ms[:i] + ms[i + 1 :]
-                            parts.append(_put(bracket, inner[0], i, inner[1], rest))
-                    element: dict[int, int] = {}
-                    for part in filter(None, parts):
-                        coeff = element.get(part[1], 0) + part[0]
-                        if coeff:
-                            element[part[1]] = coeff
-                        else:
-                            del element[part[1]]
-                    for spine in spines:
-                        row: dict[int, int] = {}
-                        for tid, coeff in element.items():
-                            for sibs in spine:
-                                hit = _put(bracket, coeff, 0, tid, sibs)
-                                if hit is None:
-                                    break
-                                coeff, tid = hit
+class _Cell:
+    """The tables of one `canonical_brackets` build of a cell (which also
+    lists its slice) that its relation rows are generated from, and that
+    `membership` relabels ids with.
+
+    A letter content (occurrences of each generator) is packed into one
+    int, `width` bits per letter with letter 1 lowest, so the content of
+    a bracket is the sum of its children's.  The top bit of each field is
+    a guard: a field holds at most the commutator length L < 2**(width-1),
+    so c <= lam letter by letter iff ((lam | guard) - c) & guard == guard,
+    and lam - c is a content only when c <= lam."""
+
+    def __init__(self, n: int, d: int, w: int):
+        build = canonical_brackets(n, d, w)
+        _monomials(n, d, w, build)  # the same build lists the slice
+        self.n, self.d, self.w = n, d, w
+        _, self.base, self.bracket = build
+        self.kids = list(self.bracket)  # kids[i - d]: the child ids of id i
+        self.width = commutator_length(n, w).bit_length() + 1
+        self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(d))
+        content = [1 << (self.width * k) for k in range(d)]
+        shared: dict = {}  # one int object per distinct content
+        for ids in self.kids:  # in id order, children first
+            c = sum(map(content.__getitem__, ids))
+            content.append(shared.setdefault(c, c))
+        self.content = content
+        self.pools = {v: range(self.base[v], self.base[v + 1]) for v in range(1, w + 1)}
+
+    def pack(self, lam: tuple) -> int:
+        return sum(c << (self.width * k) for k, c in enumerate(lam))
+
+    def unpack(self, c: int) -> list:
+        mask = (1 << self.width) - 1
+        return [c >> (self.width * k) & mask for k in range(self.d)]
+
+    def contexts(self, by_content: bool = False) -> dict:
+        """hole weight v -> the spines of `_contexts`, for v = 2..w: a
+        list in generation order, or with by_content a dict from each
+        sibling content to its spines."""
+        out = {}
+        for v in range(2, self.w + 1):
+            pairs = _contexts(self.n, self.w, v, self.pools, self.content)
+            if by_content:
+                out[v] = by = {}
+                for c, spine in pairs:
+                    by.setdefault(c, []).append(spine)
+            else:
+                out[v] = [spine for _, spine in pairs]
+        return out
+
+    def rows(self, spines: dict, lam: Optional[int] = None, block_ids=()):
+        """Yield the nonzero relation rows, in order.  With no content
+        budget (lam None), every row of the slice on the slice's columns,
+        spines[v] listing the spines of hole weight v.  With a packed
+        content lam, the rows of that block on its columns (column k is
+        block_ids[k], the block's slice ids ascending), drawn from pools
+        cut to ids of content <= lam, spines[v] mapping each sibling
+        content to its spines, and at n = 2 only from the instances with
+        y < m_2 (see the module docstring)."""
+        n, w, bracket, content, guard = self.n, self.w, self.bracket, self.content, self.guard
+        if lam is None:
+            pools = self.pools
+            column = {i: i - self.base[w] for i in pools[w]}
+        else:
+            top = lam | guard
+            pools = {
+                v: [i for i in self.pools[v] if (top - content[i]) & guard == guard]
+                for v in range(1, w)
+            }
+            column = {i: k for k, i in enumerate(block_ids)}
+        pairwise = lam is not None and n == 2
+        for v in range(2, w + 1):
+            ctx = by = spines[v]  # with lam, by sibling content
+            # all (M, Y) with weight([[M], Y]) == v
+            for wb in range(2, v):
+                y_choices = [
+                    (ys, sum(map(content.__getitem__, ys)))
+                    for ys in _choices(v - wb + n - 2, n - 1, pools)
+                ]
+                for ms in _choices(wb + n - 2, n, pools):
+                    if lam is not None:
+                        cm = sum(map(content.__getitem__, ms))
+                        if (top - cm) & guard != guard:
+                            continue
+                    for ys, cy in y_choices:
+                        if lam is not None:
+                            if pairwise and ys[0] >= ms[1]:
+                                break  # ids ascend in y_choices at n = 2
+                            ctx = by.get(lam - cm - cy)
+                            if ctx is None:
+                                continue
+                        # [[M], Y] - sum_i [m_1,..,[m_i, Y],..,m_n] as {id: coeff}
+                        parts = [_put(bracket, 1, 0, bracket[ms], ys)]
+                        for i, m in enumerate(ms):
+                            inner = _put(bracket, -1, 0, m, ys)
+                            if inner is not None:
+                                rest = ms[:i] + ms[i + 1 :]
+                                parts.append(_put(bracket, inner[0], i, inner[1], rest))
+                        element: dict[int, int] = {}
+                        for part in filter(None, parts):
+                            coeff = element.get(part[1], 0) + part[0]
+                            if coeff:
+                                element[part[1]] = coeff
                             else:
-                                row[column[tid]] = coeff
-                        if row:
-                            yield row
+                                del element[part[1]]
+                        for spine in ctx:
+                            row: dict[int, int] = {}
+                            for tid, coeff in element.items():
+                                for sibs in spine:
+                                    hit = _put(bracket, coeff, 0, tid, sibs)
+                                    if hit is None:
+                                        break
+                                    coeff, tid = hit
+                                else:
+                                    row[column[tid]] = coeff
+                            if row:
+                                yield row
+
+    def relabel(self, i: int, letters: list, memo: dict) -> tuple:
+        """(sign, id): id i with each generator id g replaced by
+        letters[g] (a permutation), canonicalized.  memo caches the ids
+        already relabeled under `letters`."""
+        hit = memo.get(i)
+        if hit is None:
+            if i < self.d:
+                hit = (1, letters[i])
+            else:
+                sign, ids = 1, []
+                for k in self.kids[i - self.d]:
+                    s, j = self.relabel(k, letters, memo)
+                    # j moves in front of the smaller ids: one flip per id
+                    # passed (no id repeats, as relabeling is injective)
+                    q = 0
+                    while q < len(ids) and ids[q] > j:
+                        q += 1
+                    sign *= -s if (len(ids) - q) & 1 else s
+                    ids.insert(q, j)
+                hit = (sign, self.bracket[tuple(ids)])
+            memo[i] = hit
+        return hit
 
 
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    rows = list(_instance_rows(n, d, w))  # a cold cell's one build
+    cell = _Cell(n, d, w)  # a cold cell's one build
+    rows = list(cell.rows(cell.contexts()))
     return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 
@@ -260,26 +389,63 @@ class _Echelon:
         return len(self.pivots)
 
 
+class _Block(NamedTuple):
+    ids: list  # the block's slice ids, ascending: column k is ids[k]
+    echelon: _Echelon
+
+
+def _arrangements(lam: tuple) -> int:
+    """The number of distinct contents that permute the letters of lam
+    (zeros included): d! / prod(mult!)."""
+    out = factorial(len(lam))
+    for mult in Counter(lam).values():
+        out //= factorial(mult)
+    return out
+
+
+class _Space(NamedTuple):
+    blocks: dict  # sorted content -> _Block, the nonempty blocks only
+    rank: int  # of the whole slice: sum of rank x arrangements
+    cell: _Cell  # its tables, for membership
+
+
 @lru_cache(maxsize=None)
-def _relation_space(n: int, d: int, w: int) -> _Echelon:
-    """The echelon of a cell's relations.  Keyed on the cell alone, so a
-    cell is built once whatever ceilings ask for it: callers check their
-    ceiling first, with _slice_size or graded_monomials.
+def _relation_space(n: int, d: int, w: int) -> _Space:
+    """The cell's relations, one echelon per nonempty content block, keyed
+    by its sorted content lam (a non-increasing d-tuple).  Keyed on the
+    cell alone, so a cell is built once whatever ceilings ask for it:
+    callers check their ceiling first, with _slice_size or
+    graded_monomials.
 
     A row whose normalized form was already fed in is skipped.  The key
     is the normalized row itself, as a flat tuple of its sorted (column,
-    coefficient) pairs, so no two distinct rows can collide; the keys are
-    dropped once the cell is built."""
-    ech = _Echelon()
-    seen = set()
-    # rows stream in from the generator; no row list is built
-    for row in _instance_rows(n, d, w):
-        row = ech._normalize(row)
-        key = tuple(chain.from_iterable(sorted(row.items())))
-        if key not in seen:
-            seen.add(key)
-            ech.insert(row)
-    return ech
+    coefficient) pairs, so no two distinct rows can collide.  The distinct
+    rows of a block are fed in ascending order of their largest column."""
+    cell = _Cell(n, d, w)
+    spines = cell.contexts(by_content=True)  # once for all the blocks
+    slice_ids: dict = {}  # packed content -> its slice ids, ascending
+    for i in cell.pools[w]:
+        slice_ids.setdefault(cell.content[i], []).append(i)
+    length = commutator_length(n, w)
+    blocks = {}
+    rank = 0
+    for parts in range(1, d + 1):
+        for lam in weight_multisets(length, parts, length):
+            lam += (0,) * (d - parts)
+            packed = cell.pack(lam)
+            ids = slice_ids.get(packed)
+            if ids is None:
+                continue
+            ech = _Echelon()
+            distinct = {}
+            for row in cell.rows(spines, packed, ids):
+                row = ech._normalize(row)
+                distinct.setdefault(tuple(chain.from_iterable(sorted(row.items()))), row)
+            for row in sorted(distinct.values(), key=max):
+                ech.insert(row)
+            blocks[lam] = _Block(ids, ech)
+            rank += ech.rank * _arrangements(lam)
+    return _Space(blocks, rank, cell)
 
 
 def graded_dimension(
@@ -304,9 +470,9 @@ def graded_dimension(
         if dim is not None:
             return dim
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    ech = _relation_space(n, d, w)  # a cold cell's one build
+    rank = _relation_space(n, d, w).rank  # a cold cell's one build
     size = len(graded_monomials(n, d, w, ceiling=ceiling).monomials)
-    dim = size - ech.rank
+    dim = size - rank
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
         rec = {
@@ -314,7 +480,7 @@ def graded_dimension(
             "d": d,
             "w": w,
             "basis_size": size,
-            "rank": ech.rank,
+            "rank": rank,
             "dim": dim,
         }
         _write_cell(cache_path, rec)
@@ -364,7 +530,13 @@ def membership(
 ) -> bool:
     """Whether the combination lies in the relation span of its graded
     component.  All terms must share one weight; the empty combination is
-    trivially a member."""
+    trivially a member.
+
+    Each content part of the combination is reduced in the echelon of its
+    block.  A part whose content is not sorted first has its letters
+    relabeled so that it is, each id canonicalized with its sign:
+    relabeling is an automorphism of the free algebra, so it maps the
+    relations of one block onto those of the other."""
     if not lc:
         return True
     weights = {weight(t, n) for t in lc}
@@ -372,17 +544,38 @@ def membership(
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    ech = _relation_space(n, d, w)  # a cold cell's one build
-    basis = graded_monomials(n, d, w, ceiling=ceiling)
+    space = _relation_space(n, d, w)  # a cold cell's one build
+    cell = space.cell
+    position = _monomials(n, d, w)
+    first = cell.base[w]
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
-    row: dict[int, int] = {}
+    parts: dict = {}  # packed content -> {slice id: integer coefficient}
     for t, c in lc.items():
-        if t not in basis.index:
+        pos = position.get(t)
+        if pos is None:
             raise ValueError(f"term outside the monomial slice: {t!r}")
         val = int(Fraction(c) * denom)
         if val:
-            row[basis.index[t]] = val
-    if not row:
-        return True
-    return not ech.reduce(row)
+            i = first + pos
+            parts.setdefault(cell.content[i], {})[i] = val
+    for content, part in parts.items():
+        counts = cell.unpack(content)
+        # letters by falling count; the sort is stable, so a sorted content
+        # keeps its letters
+        order = sorted(range(d), key=lambda k: -counts[k])
+        block = space.blocks[tuple(counts[k] for k in order)]
+        if order != list(range(d)):
+            letters = [0] * d  # generator id order[k] becomes id k
+            for k, g in enumerate(order):
+                letters[g] = k
+            memo: dict = {}
+            relabeled = {}
+            for i, val in part.items():
+                s, j = cell.relabel(i, letters, memo)
+                relabeled[j] = s * val
+            part = relabeled
+        row = {bisect_left(block.ids, i): val for i, val in part.items()}
+        if block.echelon.reduce(row):
+            return False
+    return True

@@ -102,9 +102,24 @@ def parse(text: str, n: int) -> Term:
 
 
 def format_term(t: Term) -> str:
-    if is_leaf(t):
-        return f"x{t}"
-    return "[" + ",".join(format_term(c) for c in t) + "]"
+    """The text of t in the grammar above.  An explicit stack of subterms
+    and punctuation, not recursion, so any term `parse` accepts prints."""
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, tuple):
+            out.append("[")
+            # "]", then the children last to first with "," between them
+            pending = [","] * (2 * len(u))
+            pending[0] = "]"
+            pending[1::2] = u[::-1]
+            stack += pending
+        elif isinstance(u, str):
+            out.append(u)
+        else:
+            out.append(f"x{u}")
+    return "".join(out)
 
 
 def format_terms(ts):
@@ -126,7 +141,8 @@ def format_terms(ts):
 def weight(t: Term, n: int) -> int:
     if is_leaf(t):
         return 1
-    return sum(weight(c, n) for c in t) - (n - 2)
+    # map, not a generator expression: one frame per level of t
+    return sum(map(weight, t, itertools.repeat(n))) - (n - 2)
 
 
 def length(t: Term) -> int:
@@ -148,8 +164,8 @@ def term_key(t: Term, n: int):
     so one pass over the tree computes both."""
     if is_leaf(t):
         return (1, 0, t)
-    keys = tuple(term_key(c, n) for c in reversed(t))
-    return (sum(k[0] for k in keys) - (n - 2), 1, keys)
+    keys = tuple(map(term_key, reversed(t), itertools.repeat(n)))  # one frame per level
+    return (sum([k[0] for k in keys]) - (n - 2), 1, keys)
 
 
 def compare(a: Term, b: Term, n: int) -> int:

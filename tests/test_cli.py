@@ -142,6 +142,16 @@ def test_cli_import_leaves_out_dataclasses():
     assert proc.returncode == 0 and out == "False\n"
 
 
+def test_cli_import_leaves_out_the_oracle():
+    # a cold command that never asks the oracle does not compile it
+    proc = python_with_src(
+        "-S", "-c", "import sys, nlie.cli; print('nlie.oracle' in sys.modules)",
+        stdout=subprocess.PIPE, text=True,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out == "False\n"
+
+
 PUBLIC_NAMES = [
     "BasicCommutator", "EnumerationCapExceeded", "EnumerationMode",
     "InstanceCeilingExceeded", "LieExpansion", "NonbasicBreakdown",
@@ -221,7 +231,8 @@ def test_rewrite_parse_error(capsys):
      (700, "error: term nested too deeply to collect")],
 )
 def test_rewrite_deep_term_is_one_line_error(capsys, depth, message):
-    expr = "[" * depth + "x1" + ",x2]" * depth
+    # letters alternate, so collecting compares terms that differ deep down
+    expr = "[" * depth + "x1" + "".join(f",x{2 - k % 2}]" for k in range(depth))
     code, out, err = run(capsys, "rewrite", "--n", "2", expr)
     assert code == 1
     assert out == ""

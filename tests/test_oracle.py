@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -185,22 +185,61 @@ def _dense_rank(rows, ncols):
     return rank
 
 
+def _content(t, d):
+    """The letter content of a term: occurrences of generators 1..d."""
+    counts = [0] * d
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, int):
+            counts[u - 1] += 1
+        else:
+            stack.extend(u)
+    return tuple(counts)
+
+
+def _rows_by_content(cell):
+    """relation_rows(cell) grouped by the content of their monomials, as
+    content -> (the content's columns ascending, its rows)."""
+    rm = relation_rows(*cell)
+    d = cell[1]
+    columns = {}
+    for col, t in enumerate(rm.basis.monomials):
+        columns.setdefault(_content(t, d), []).append(col)
+    rows = {c: [] for c in columns}
+    for row in rm.rows:
+        contents = {_content(rm.basis.monomials[col], d) for col in row}
+        assert len(contents) == 1  # no relation crosses a content block
+        rows[contents.pop()].append(row)
+    return {c: (columns[c], rows[c]) for c in columns}
+
+
 @pytest.mark.parametrize("cell", [(2, 2, 6), (2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)])
 def test_echelon_rank_matches_dense_fraction_rank(cell):
     rm = relation_rows(*cell)
-    assert oracle._relation_space(*cell).rank == _dense_rank(
-        rm.rows, len(rm.basis.monomials)
+    space = oracle._relation_space(*cell)
+    total = sum(
+        block.echelon.rank * oracle._arrangements(lam) for lam, block in space.blocks.items()
     )
+    assert total == space.rank == _dense_rank(rm.rows, len(rm.basis.monomials))
+    # each content's rows have the dense rank of the block of its sorted
+    # content, and that block has the content's monomials
+    for content, (columns, rows) in _rows_by_content(cell).items():
+        block = space.blocks[tuple(sorted(content, reverse=True))]
+        assert len(block.ids) == len(columns)
+        local = [{columns.index(col): c for col, c in row.items()} for row in rows]
+        assert block.echelon.rank == _dense_rank(local, len(columns))
 
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6), (3, 3, 6), (4, 5, 4)])
 def test_echelon_pivots_sit_on_their_largest_column(cell):
-    pivots = oracle._relation_space(*cell).pivots
-    assert pivots
-    for col, row in pivots.items():
-        assert col == max(row)
-        assert row[col] > 0
-        assert gcd(*row.values()) == 1
+    blocks = oracle._relation_space(*cell).blocks
+    assert any(block.echelon.pivots for block in blocks.values())
+    for block in blocks.values():
+        for col, row in block.echelon.pivots.items():
+            assert col == max(row) < len(block.ids)
+            assert row[col] > 0
+            assert gcd(*row.values()) == 1
 
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (3, 3, 6)])
@@ -213,24 +252,184 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
     rank = oracle._relation_space(*cell).rank
     assert ech.rank == rank
 
-    # every row fed again, negated and doubled: the build skips the copies
-    fed = []
+    # every block row generated again, negated and doubled: the build
+    # skips the copies and feeds each block's distinct rows in ascending
+    # order of their largest column
+    generated = {}
+    fed = {}
+    block_rows = oracle._Cell.rows
     insert = oracle._Echelon.insert
 
-    def doubled(*args):
-        for row in rows:
+    def doubled(cell, spines, lam, ids):
+        for row in block_rows(cell, spines, lam, ids):
+            generated.setdefault(lam, []).append(row)
             yield row
             yield {k: -2 * c for k, c in row.items()}
 
     def counted(self, row):
-        fed.append(row)
+        fed.setdefault(id(self), []).append(row)
         return insert(self, row)
 
-    monkeypatch.setattr(oracle, "_instance_rows", doubled)
+    monkeypatch.setattr(oracle._Cell, "rows", doubled)
     monkeypatch.setattr(oracle._Echelon, "insert", counted)
-    assert oracle._relation_space.__wrapped__(*cell).rank == rank
-    distinct = {frozenset(oracle._Echelon._normalize(row).items()) for row in rows}
-    assert len(fed) == len(distinct) < len(rows)
+    space = oracle._relation_space.__wrapped__(*cell)
+    assert space.rank == rank
+    for block in space.blocks.values():
+        leads = [max(row) for row in fed.get(id(block.echelon), [])]
+        assert leads == sorted(leads)
+    distinct = sum(
+        len({frozenset(oracle._Echelon._normalize(row).items()) for row in rows})
+        for rows in generated.values()
+    )
+    assert sum(map(len, fed.values())) == distinct <= sum(map(len, generated.values()))
+
+
+# (n, d, w): (dim, monomials, rows, rank), as frozen for the benchmark ladder
+LADDER = {
+    (2, 2, 8): (30, 187, 633, 157),
+    (2, 2, 10): (99, 1532, 7311, 1433),
+    (2, 3, 6): (116, 477, 1326, 361),
+    (2, 3, 7): (312, 2052, 7335, 1740),
+    (3, 3, 6): (36, 144, 363, 108),
+    (3, 4, 5): (380, 1396, 3336, 1016),
+    (3, 5, 4): (490, 1225, 2100, 735),
+    (4, 5, 4): (250, 600, 1000, 350),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(LADDER))
+def test_blocks_sum_to_the_ladder_cells(cell):
+    dim, monomials, _, rank = LADDER[cell]
+    blocks = oracle._relation_space(*cell).blocks
+    assert all(lam == tuple(sorted(lam, reverse=True)) for lam in blocks)
+    arrangements = {lam: oracle._arrangements(lam) for lam in blocks}
+    assert sum(len(b.ids) * arrangements[lam] for lam, b in blocks.items()) == monomials
+    assert sum(b.echelon.rank * arrangements[lam] for lam, b in blocks.items()) == rank
+    assert graded_dimension(*cell) == dim
+
+
+def _moebius(r):
+    out, p = 1, 2
+    while p * p <= r:
+        if r % p == 0:
+            r //= p
+            if r % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if r > 1 else out
+
+
+def _multigraded_witt(k):
+    """The dimension of the free Lie algebra in multidegree k:
+    (1/N) sum over r | gcd(k) of mu(r) (N/r)! / prod((k_i/r)!), N = sum(k)."""
+    k = [x for x in k if x]
+    total = sum(k)
+    g = 0
+    for x in k:
+        g = gcd(g, x)
+    acc = 0
+    for r in range(1, g + 1):
+        if g % r == 0:
+            term = factorial(total // r)
+            for x in k:
+                term //= factorial(x // r)
+            acc += _moebius(r) * term
+    assert acc % total == 0
+    return acc // total
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 10), (2, 3, 7), (2, 4, 6)])
+def test_n2_blocks_follow_the_multigraded_witt_formula(cell):
+    blocks = oracle._relation_space(*cell).blocks
+    assert blocks
+    for lam, block in blocks.items():
+        assert len(block.ids) - block.echelon.rank == _multigraded_witt(lam)
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6)])
+def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell):
+    # only y < m_2 < m_1 is generated at n = 2; the rows it gives are the
+    # distinct normalized rows of all instances of the block
+    norm = oracle._Echelon._normalize
+    by_content = _rows_by_content(cell)
+    built = oracle._Cell(*cell)
+    spines = built.contexts(by_content=True)
+    restricted_rows = all_rows = 0
+    for lam, block in oracle._relation_space(*cell).blocks.items():
+        columns, rows = by_content[lam]
+        every = {
+            frozenset(norm({columns.index(col): c for col, c in row.items()}).items())
+            for row in rows
+        }
+        restricted = [norm(row) for row in built.rows(spines, built.pack(lam), block.ids)]
+        assert {frozenset(row.items()) for row in restricted} == every
+        restricted_rows += len(restricted)
+        all_rows += len(rows)
+    assert restricted_rows < all_rows / 2
+
+
+def _dense_span(rows, ncols):
+    """The reduced row echelon form over Q of the rows, by textbook
+    Gauss-Jordan elimination on dense Fraction rows: (pivot column, row)
+    pairs, each row 1 at its pivot and 0 at every other pivot."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    basis = []
+    for j in range(ncols):
+        hit = next((r for r in m if r[j]), None)
+        if hit is None:
+            continue
+        m.remove(hit)
+        hit = [x / hit[j] for x in hit]
+        for r in m + [b for _, b in basis]:
+            if r[j]:
+                f = r[j]
+                for k in range(ncols):
+                    r[k] -= f * hit[k]
+        basis.append((j, hit))
+    return basis
+
+
+def _dense_member(basis, vec):
+    vec = list(vec)
+    for j, row in basis:
+        if vec[j]:
+            f = vec[j]
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+@pytest.mark.parametrize("cell", [(2, 3, 5), (3, 3, 4)])
+def test_membership_agrees_with_a_dense_reference(cell):
+    n, d, _ = cell
+    rm = relation_rows(*cell)
+    monomials = rm.basis.monomials
+    ncols = len(monomials)
+    basis = _dense_span(rm.rows, ncols)
+    assert ncols - len(basis) == graded_dimension(*cell)
+    contents = {_content(t, d) for t in monomials}
+    assert any(c != tuple(sorted(c, reverse=True)) for c in contents)
+
+    def check(vec):
+        lc = {monomials[j]: x for j, x in enumerate(vec) if x}
+        assert membership(lc, n, d) == _dense_member(basis, vec)
+
+    unit = [[Fraction(int(j == i)) for j in range(ncols)] for i in range(ncols)]
+    for vec in unit:
+        check(vec)
+    for row in rm.rows:
+        check([Fraction(row.get(j, 0)) for j in range(ncols)])
+    # combinations across contents, members or not, with fractions
+    rng = random.Random(7)
+    for _ in range(60):
+        vec = [Fraction(0)] * ncols
+        for row in rng.sample(rm.rows, 3):
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for j, c in row.items():
+                vec[j] += f * c
+        if rng.random() < 0.5:
+            vec[rng.randrange(ncols)] += Fraction(1, 2)
+        check(vec)
 
 
 def test_large_cells_frozen():

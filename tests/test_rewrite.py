@@ -28,6 +28,16 @@ def test_collect_fixes_basics():
         assert all(rule != JACOBI for rule, *_ in trace.steps)
 
 
+def test_collect_walks_a_deep_left_nested_term():
+    # depth 900, which parse accepts; basic, so collect keys it and stops
+    t = (2, 1)
+    for _ in range(899):
+        t = (t, 1)
+    lc, trace = collect(t, 2, cap=1)
+    assert lc == {t: Fraction(1)}
+    assert not trace.capped
+
+
 def test_collect_simple_cases():
     lc, trace = collect((1, 2, 3), 3)
     assert lc == {(3, 2, 1): Fraction(-1)}

@@ -212,3 +212,14 @@ def test_bracket_counts_size_each_weight_of_a_build():
                 sizes = [base[v + 1] - base[v] for v in range(1, w + 1)]
                 assert bracket_counts(n, d, w) == [0] + sizes
 
+
+def test_deep_terms_print_parse_weigh_and_key():
+    # depth 900, which parse accepts: format_term keeps its own stack, and
+    # weight and term_key take one frame per level
+    t = (2, 1)
+    for k in range(899):
+        t = (t, 1 + k % 3)
+    text = format_term(t)
+    assert text.count("[") == 900
+    assert parse(text, 2) == t
+    assert weight(t, 2) == term_key(t, 2)[0] == 901
