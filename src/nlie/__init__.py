@@ -9,8 +9,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "basis": (
-        "BasicCommutator", "EnumerationCapExceeded", "EnumerationMode",
-        "count_by_enumeration", "enumerate_basic", "is_basic",
+        "EnumerationCapExceeded", "EnumerationMode", "count_by_enumeration",
+        "enumerate_basic", "is_basic",
     ),
     "counting": (
         "LieExpansion", "NonbasicBreakdown", "count_via_lie", "count_weight2",

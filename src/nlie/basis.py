@@ -4,17 +4,18 @@ One recursive definition serves all three: a generator is basic, and a
 canonical bracket is basic when all its children are basic and it passes
 the local rule of the chosen reading.  A rule sees a bracket's child
 handles, their weights, and sub(h), the child handles of h (() for a
-generator); handles compare as the terms they stand for.  `is_basic`
-walks the term keys that its canonicity check computes; the enumerator
-builds exactly the basic brackets weight by weight with
-`terms.canonical_brackets`, whose ids are the handles, keeping a
-candidate when its rule holds.  The canonical order already gives
-non-increasing child weights, strict descent among equal weights, and
-children lighter than the bracket.
+generator); handles compare as the terms they stand for.  `_descent_rule`
+and `_chain_rule` state the rules: `is_basic` applies them to the term
+keys of its canonicity check, and the tests hold the rule-first children
+sources (`_descent_children`, `_chain_children`) to them.  The enumerator
+builds exactly the basic brackets with `terms.bracket_layers` on ids (the
+handles), each weight from what its rule's source generates.  The
+canonical order already gives non-increasing child weights, strict
+descent among equal weights, and lighter children.
 
 Counts are closed forms at weights 1 and 2 and at every LEFT_NORMED
 weight; FULL_RULE3 from weight 3 on is counted by its one build, which
-stops itself at the cap.  Nothing is cached.
+stops as soon as any weight keeps more than the cap.  Nothing is cached.
 
 Two rules are implemented:
 
@@ -38,11 +39,12 @@ For n=2 and weight <= 3 the two readings coincide.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from enum import Enum
 from math import comb
-from typing import NamedTuple
+from operator import itemgetter
 
-from .terms import Term, _canonical, canonical_brackets, commutator_length
+from .terms import Term, _canonical, _runs, bracket_layers
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -56,12 +58,6 @@ class EnumerationMode(Enum):
     LEFT_NORMED = "left_normed"
 
 
-class BasicCommutator(NamedTuple):
-    term: Term
-    weight: int
-    length: int
-
-
 def _descent_rule(hs, ws, sub) -> bool:
     """At every weight descent (child weights `ws`) the heavier child, a
     bracket, has its last child <= the last child of the bracket."""
@@ -70,6 +66,27 @@ def _descent_rule(hs, ws, sub) -> bool:
         if ws[s] > ws[s + 1] and sub(hs[s])[-1] > last:
             return False
     return True
+
+
+def _descent_children(ws, pools, sub, memo):
+    """The FULL_RULE3 children source, in chunks.  `_descent_rule` holds
+    when the last e of each run of equal weights but the last has sub(e)[-1]
+    <= m, the smallest child: so the last run, which fixes m, is chosen
+    first, then each earlier run among its tuples allowed at m (memoized)."""
+
+    def allowed(u, k, m):
+        if (u, k, m) not in memo:
+            cs = itertools.combinations(pools[u], k)  # ascending
+            memo[u, k, m] = [c[::-1] for c in cs if sub(c[0])[-1] <= m]
+        return memo[u, k, m]
+
+    *runs, (u, k) = _runs(ws)
+    for m, last in itertools.groupby(itertools.combinations(pools[u], k), itemgetter(0)):
+        tails = [c[::-1] for c in last]
+        for ru, rk in reversed(runs[1:]):
+            tails = [a + t for a in allowed(ru, rk, m) for t in tails]
+        for a in allowed(*runs[0], m) if runs else [()]:
+            yield [a + t for t in tails]
 
 
 def _chain_rule(hs, ws, sub) -> bool:
@@ -82,9 +99,24 @@ def _chain_rule(hs, ws, sub) -> bool:
     return not head or hs[:0:-1] >= head[:0:-1]
 
 
+def _chain_children(ws, pools, sub, memo):
+    """The LEFT_NORMED children source, in chunks.  By `_chain_rule` any
+    core is basic, and from weight 3 on only the profile (v-1, 1, ..., 1),
+    where each head takes the tails at or after its own tail read right to
+    left: a bisection in the tails sorted that way."""
+    if ws[0] == 1:
+        yield [c[::-1] for c in itertools.combinations(pools[1], len(ws))]
+    elif ws[1] == 1:
+        ascending = list(itertools.combinations(pools[1], len(ws) - 1))
+        for h in pools[ws[0]]:
+            i = bisect_left(ascending, sub(h)[:0:-1])
+            yield [(h,) + t[::-1] for t in ascending[i:]]
+
+
+# per mode: the rule, and the children source that generates what it keeps
 _RULES = {
-    EnumerationMode.FULL_RULE3: _descent_rule,
-    EnumerationMode.LEFT_NORMED: _chain_rule,
+    EnumerationMode.FULL_RULE3: (_descent_rule, _descent_children),
+    EnumerationMode.LEFT_NORMED: (_chain_rule, _chain_children),
 }
 
 
@@ -109,7 +141,7 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
     sign, ct, key = _canonical(t, n)
     if sign != 1 or ct != t:
         raise ValueError(f"not a canonical term: {t!r}")
-    return _basic_key(key, _RULES[mode])
+    return _basic_key(key, _RULES[mode][0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +168,25 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode):
     )
 
 
-def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int) -> list:
-    """The basic terms of weight w on d letters, ascending.
+def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
+    """The `bracket_layers` of the basic brackets of weights 2..w on d
+    letters, from the mode's source.  Raises EnumerationCapExceeded as
+    soon as more than `cap` are kept at any weight."""
+    source, memo, kept = _RULES[mode][1], {}, [0] * (w + 1)
 
-    Raises EnumerationCapExceeded as soon as more than `cap` are kept at
-    weight w, before the rest of the weight is built."""
-    rule = _RULES[mode]
-    top = w + n - 2  # the child weights of a weight-w bracket sum to this
-    kept = 0
-
-    def keep(ids, ws, sub):
-        nonlocal kept
-        if not rule(ids, ws, sub):
-            return False
-        if sum(ws) == top:
-            kept += 1
-            if kept > cap:
+    def children(ws, pools, sub):
+        v, out = sum(ws) - (n - 2), []
+        for chunk in source(ws, pools, sub, memo):
+            out += chunk
+            kept[v] += len(chunk)
+            if kept[v] > cap:
                 raise EnumerationCapExceeded(
-                    f"basic commutators at (n={n}, d={d}, w={w}) exceed cap {cap}"
+                    f"basic commutators of weight {v} at (n={n}, d={d}, w={w}) "
+                    f"exceed cap {cap}"
                 )
-        return True
+        return out
 
-    terms, base, _ = canonical_brackets(n, d, w, keep=keep)
-    return terms[base[w] :]
+    return bracket_layers(n, d, w, children)
 
 
 def enumerate_basic(
@@ -167,9 +195,12 @@ def enumerate_basic(
     w: int,
     mode: EnumerationMode = EnumerationMode.FULL_RULE3,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[BasicCommutator]:
+    text: bool = False,
+) -> list:
     """All basic commutators of weight w on d letters, ascending in the
-    term order.  A closed count above `cap` is refused before any build."""
+    term order: their terms, or with `text` their `format_term` texts
+    (each made once from its children's).  A closed count above `cap` is
+    refused before any build."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
     count = _closed_count(n, d, w, mode)
@@ -177,8 +208,12 @@ def enumerate_basic(
         raise EnumerationCapExceeded(
             f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
         )
-    m = commutator_length(n, w)
-    return [BasicCommutator(t, w, m) for t in _basics(n, d, w, mode, cap)]
+    out = [f"x{k}" for k in range(1, d + 1)] if text else list(range(1, d + 1))
+    get, start = out.__getitem__, 0  # out[i]: the term or text of id i
+    for found in _basics(n, d, w, mode, cap):
+        start = len(out)
+        out += [f"[{','.join(map(get, i))}]" if text else tuple(map(get, i)) for i in found]
+    return out[start:]
 
 
 def count_by_enumeration(
@@ -193,4 +228,4 @@ def count_by_enumeration(
     and EnumerationCapExceeded is raised once more than `cap` are found,
     without building the rest."""
     count = _closed_count(n, d, w, mode)
-    return len(_basics(n, d, w, mode, cap)) if count is None else count
+    return len(list(_basics(n, d, w, mode, cap))[-1]) if count is None else count

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from itertools import islice
 
 from . import basis, counting, rewrite, terms
 
@@ -20,7 +18,7 @@ DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 
 # `enumerate` writes its lines in blocks of this many, one write call
 # each: under write-through stdout (PYTHONUNBUFFERED) a write per line
-# is a system call per line, and a bounded block keeps memory flat
+# is a system call per line, and a bounded block joins a small string
 ENUMERATE_BLOCK_LINES = 1024
 
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
@@ -84,18 +82,17 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        items = basis.enumerate_basic(args.n, args.d, args.w, _MODE_NAMES[args.mode])
+        lines = basis.enumerate_basic(args.n, args.d, args.w, _MODE_NAMES[args.mode], text=True)
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    lines = terms.format_terms(bc.term for bc in items)
     if args.format == "json":
-        lines = (
-            json.dumps({"term": text, "weight": bc.weight, "length": bc.length})
-            for bc, text in zip(items, lines)
-        )
-    while block := list(islice(lines, ENUMERATE_BLOCK_LINES)):
-        sys.stdout.write("\n".join(block) + "\n")
+        import json
+
+        rec = {"weight": args.w, "length": terms.commutator_length(args.n, args.w)}
+        lines = [json.dumps({"term": t, **rec}) for t in lines]
+    for i in range(0, len(lines), ENUMERATE_BLOCK_LINES):
+        sys.stdout.write("\n".join(lines[i : i + ENUMERATE_BLOCK_LINES]) + "\n")
     return 0
 
 

@@ -57,7 +57,6 @@ ascending order of their largest column, so most rows meet few pivots.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from bisect import bisect_left
@@ -490,6 +489,7 @@ def graded_dimension(
 def _read_cell(path: str, n: int, d: int, w: int) -> Optional[int]:
     """The dim of a cell record, or None when there is no usable record
     (with a warning when a bad one is there)."""
+    import json  # only the cell cache needs it; it slows a cold import
     try:
         with open(path) as fh:
             rec = json.load(fh)
@@ -511,7 +511,8 @@ def _write_cell(path: str, rec: dict) -> None:
     """Write a record to a temp file in the same directory, flushed to
     disk, then rename it over `path`: readers see the old record or the
     whole new one, never a truncated file."""
-    import tempfile  # only a cache write needs it; it slows a cold import
+    import json
+    import tempfile  # only a cache write needs them; they slow a cold import
 
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:

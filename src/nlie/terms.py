@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, prod
+from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
 Term = Union[int, tuple]
@@ -120,22 +121,6 @@ def format_term(t: Term) -> str:
         else:
             out.append(f"x{u}")
     return "".join(out)
-
-
-def format_terms(ts):
-    """Yield format_term(t) for each t in ts, in order.  Proper subterms
-    are memoized across the list, so each distinct one is formatted once;
-    the yielded strings themselves are not kept."""
-    memo: dict = {}
-
-    def fmt(t):
-        s = memo.get(t)
-        if s is None:
-            s = memo[t] = f"x{t}" if is_leaf(t) else "[" + ",".join(map(fmt, t)) + "]"
-        return s
-
-    for t in ts:
-        yield f"x{t}" if is_leaf(t) else "[" + ",".join(map(fmt, t)) + "]"
 
 
 def weight(t: Term, n: int) -> int:
@@ -253,12 +238,12 @@ def _runs(ws: tuple) -> list:
     return [(w, len(list(group))) for w, group in itertools.groupby(ws)]
 
 
-def distinct_descending(ws: tuple, pools):
+def distinct_descending(ws: tuple, pools, sub=None):
     """All strictly descending child tuples whose weights are exactly `ws`
     (non-increasing), children drawn from pools[w] (each pool ascending in
     the term order).  Within a run of equal weights children are chosen as
     a strictly descending combination; across different weights descent
-    is automatic."""
+    is automatic.  `sub` is unused: this is `bracket_layers`' default."""
     per_run = []
     for w, count in _runs(ws):
         pool = pools[w]
@@ -271,46 +256,48 @@ def distinct_descending(ws: tuple, pools):
         yield tuple(itertools.chain.from_iterable(pick))
 
 
-def canonical_brackets(n: int, d: int, w: int, keep=None):
-    """The canonical nonzero brackets of weights 1..w on d letters, interned
-    as integer ids: (terms, base, bracket).
+def bracket_layers(n: int, d: int, w: int, children=distinct_descending):
+    """The canonical nonzero brackets of weights 2..w on d letters: per
+    weight, the list of their strictly descending child-id tuples, sorted
+    by child ids read right to left (the term order on equal weights).
+    Generator k has id k-1; each list takes the next ids in its order.
 
-    terms[i] is the term with id i.  Ids ascend in the term order, so
-    comparing ids compares terms: generator k has id k-1 and weight v has
-    the ids range(base[v], base[v + 1]).  bracket maps the strictly
-    descending tuple of a bracket's child ids to its id.  Weight v is built
-    from children kept at lower weights and ordered by its child ids read
-    right to left, which is the term order on equal-weight brackets.
-
-    With `keep`, a weight-v candidate with child ids `ids` (child weights
-    `ws`) is kept only when keep(ids, ws, sub) holds, where sub(i) is the
-    tuple of child ids of id i, () for a generator.  Every kept bracket
-    has kept children, and a term tuple is built for kept brackets only."""
-    terms = list(range(1, d + 1))
+    Weight v keeps what children(ws, pools, sub) yields for each child
+    weight profile ws: strictly descending tuples, each once, child j from
+    pools[ws[j]] (the ids kept at that weight), where sub(i) is the child
+    ids of id i, () for a generator.  The default yields them all; a
+    source that yields fewer builds only those (`nlie.basis`)."""
     kids = [()] * d
     sub = kids.__getitem__
-    base = [0] * (w + 2)
-    bracket: dict = {}
     pools = {1: range(d)}
     for v in range(2, w + 1):
         found = []
         for ws in _child_profiles(n, v):
-            for ids in distinct_descending(ws, pools):
-                if keep is None or keep(ids, ws, sub):
-                    found.append(ids)
-        found.sort(key=lambda ids: ids[::-1])
+            found += children(ws, pools, sub)
+        found.sort(key=itemgetter(slice(None, None, -1)))
+        pools[v] = range(len(kids), len(kids) + len(found))
+        kids += found
+        yield found
+
+
+def canonical_brackets(n: int, d: int, w: int):
+    """The canonical nonzero brackets of weights 1..w on d letters, interned
+    as the ids of `bracket_layers`: (terms, base, bracket).  terms[i] is the
+    term with id i, so comparing ids compares terms; weight v has the ids
+    range(base[v], base[v + 1]); bracket maps child ids to the bracket's."""
+    terms = list(range(1, d + 1))
+    base = [0] * (w + 2)
+    bracket: dict = {}
+    for v, found in enumerate(bracket_layers(n, d, w), 2):
         base[v] = len(terms)
-        for ids in found:
-            bracket[ids] = len(terms)
-            terms.append(tuple(map(terms.__getitem__, ids)))
-            kids.append(ids)
-        pools[v] = range(base[v], len(terms))
+        bracket.update(zip(found, range(len(terms), len(terms) + len(found))))
+        terms += [tuple(map(terms.__getitem__, ids)) for ids in found]  # children first
     base[w + 1] = len(terms)
     return terms, base, bracket
 
 
 def bracket_counts(n: int, d: int, w: int) -> list:
-    """counts[v] = the number of brackets `canonical_brackets(n, d, w)`
+    """counts[v] = the number of brackets `bracket_layers(n, d, w)`
     builds at weight v, for v = 1..w (counts[0] is 0), without building
     them.  It walks the build's `_child_profiles`: a run of k equal child
     weights u contributes the C(counts[u], k) strictly descending picks."""

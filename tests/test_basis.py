@@ -2,7 +2,6 @@ import pytest
 
 from nlie import basis
 from nlie.basis import (
-    BasicCommutator,
     EnumerationCapExceeded,
     EnumerationMode,
     count_by_enumeration,
@@ -10,7 +9,16 @@ from nlie.basis import (
     is_basic,
 )
 from nlie.oracle import graded_monomials
-from nlie.terms import canonical_brackets, is_canonical, term_key
+from nlie.terms import (
+    bracket_layers,
+    commutator_length,
+    distinct_descending,
+    format_term,
+    is_canonical,
+    length,
+    term_key,
+    weight,
+)
 
 FULL = EnumerationMode.FULL_RULE3
 LEFT = EnumerationMode.LEFT_NORMED
@@ -91,14 +99,14 @@ def test_enumerate_sorted_canonical_and_basic():
 def _check_enumeration(n, d, w, mode):
     items = enumerate_basic(n, d, w, mode)
     assert len(items) == count_by_enumeration(n, d, w, mode)
-    keys = [term_key(bc.term, n) for bc in items]
+    keys = [term_key(t, n) for t in items]
     assert keys == sorted(keys)
-    for bc in items:
-        assert isinstance(bc, BasicCommutator)
-        assert is_canonical(bc.term, n)
-        assert is_basic(bc.term, n, mode)
-        assert bc.weight == w
-        assert bc.length == n + (w - 2) * (n - 1)
+    for t in items:
+        assert is_canonical(t, n)
+        assert is_basic(t, n, mode)
+        assert weight(t, n) == w
+        assert length(t) == commutator_length(n, w)
+    assert enumerate_basic(n, d, w, mode, text=True) == list(map(format_term, items))
 
 
 def test_is_basic_walks_deep_terms():
@@ -118,11 +126,11 @@ def test_is_basic_walks_deep_terms():
 def _count_builds(monkeypatch):
     builds = []
 
-    def counted(n, d, w, keep=None):
+    def counted(n, d, w, children):
         builds.append((n, d, w))
-        return canonical_brackets(n, d, w, keep=keep)
+        return bracket_layers(n, d, w, children)
 
-    monkeypatch.setattr(basis, "canonical_brackets", counted)
+    monkeypatch.setattr(basis, "bracket_layers", counted)
     return builds
 
 
@@ -143,11 +151,40 @@ def test_enumerate_refuses_a_closed_count_above_the_cap_unbuilt(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [FULL, LEFT])
-@pytest.mark.parametrize("cell", [(2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)])
+@pytest.mark.parametrize(
+    "cell", [(2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4), (3, 5, 5), (5, 6, 4), (2, 3, 8)]
+)
 def test_every_basic_monomial_is_enumerated(cell, mode):
     n = cell[0]
     basic = [t for t in graded_monomials(*cell).monomials if is_basic(t, n, mode)]
-    assert basic == [bc.term for bc in enumerate_basic(*cell, mode)]
+    assert basic == enumerate_basic(*cell, mode)
+
+
+def test_every_left_normed_basic_monomial_is_enumerated_at_4_6_5():
+    # 221730 monomials, 11896 of them basic
+    monomials = graded_monomials(4, 6, 5, ceiling=300_000).monomials
+    basic = [t for t in monomials if is_basic(t, 4, LEFT)]
+    assert basic == enumerate_basic(4, 6, 5, LEFT)
+
+
+@pytest.mark.parametrize("mode", [FULL, LEFT])
+@pytest.mark.parametrize(
+    "cell", [(2, 2, 10), (2, 3, 8), (3, 3, 7), (3, 4, 6), (3, 5, 5), (4, 4, 6), (4, 5, 5), (5, 6, 4)]
+)
+def test_children_sources_yield_what_their_rule_keeps(cell, mode):
+    # the statement of each rule (_descent_rule, _chain_rule) filtering
+    # every candidate is the reference for its rule-first source
+    n, d, w = cell
+    (rule, source), memo = basis._RULES[mode], {}
+
+    def checked(ws, pools, sub):
+        got = [ids for chunk in source(ws, pools, sub, memo) for ids in chunk]
+        kept = [ids for ids in distinct_descending(ws, pools) if rule(ids, ws, sub)]
+        assert sorted(got) == sorted(kept) and len(set(got)) == len(got)
+        return got
+
+    *_, top = bracket_layers(n, d, w, checked)
+    assert len(top) == count_by_enumeration(n, d, w, mode)
 
 
 # The rules as they were written on terms and term_key, the reference for
@@ -190,25 +227,33 @@ def test_is_basic_matches_the_term_walk(cell):
 
 
 @pytest.mark.parametrize("mode", [FULL, LEFT])
-def test_keep_gets_child_ids(monkeypatch, mode):
+def test_children_source_gets_child_ids(monkeypatch, mode):
     calls, builds = [], []
 
-    def spied(n, d, w, keep=None):
-        def spy(ids, ws, sub):
-            calls.append((ids, [sub(i) for i in ids]))
-            return keep(ids, ws, sub)
+    def spied(n, d, w, children):
+        def spy(ws, pools, sub):
+            got = children(ws, pools, sub)
+            calls.extend((ids, ws, dict(pools), [sub(i) for i in ids]) for ids in got)
+            return got
 
-        builds.append(canonical_brackets(n, d, w, keep=spy))
+        builds.append(list(bracket_layers(n, d, w, spy)))
         return builds[-1]
 
-    monkeypatch.setattr(basis, "canonical_brackets", spied)
+    monkeypatch.setattr(basis, "bracket_layers", spied)
     enumerate_basic(3, 4, 5, mode)
-    children = {i: ids for ids, i in builds[0][2].items()}
+    assert len(builds) == 1
+    # the ids of the build: the 4 generators, then each weight's list
+    children, pool_of = [()] * 4, {1: range(4)}
+    for v, layer in enumerate(builds[0], 2):
+        pool_of[v] = range(len(children), len(children) + len(layer))
+        children += layer
     assert calls
-    for ids, subs in calls:
+    for ids, ws, pools, subs in calls:
         assert all(type(i) is int for i in ids)
-        # sub(i) is the child ids of kept bracket i, () for a generator
-        assert subs == [children.get(i, ()) for i in ids]
+        # child j is drawn from the ids kept at weight ws[j]; sub(i) is
+        # the child ids of kept bracket i, () for a generator
+        assert all(pools[u] == pool_of[u] and i in pool_of[u] for i, u in zip(ids, ws))
+        assert subs == [children[i] for i in ids]
 
 
 def test_left_normed_chain_condition():
@@ -236,24 +281,62 @@ def test_enumeration_cap():
     assert count_by_enumeration(3, 3, 6, LEFT, cap=10) == 15
 
 
-def test_full_rule3_count_stops_at_the_cap(monkeypatch):
-    # (3, 5, 6) has 62440 FULL_RULE3 basics; the build must stop at the 11th
-    examined, finished = [], []
+def _count_kept(monkeypatch, mode):
+    """Spy on the build: per weight, the brackets the mode's source has
+    yielded, and whether the build finished."""
+    kept, finished = {}, []
+    (rule, real_source), real_layers = basis._RULES[mode], basis.bracket_layers
 
-    def spied(n, d, w, keep=None):
-        def spy(ids, ws, *rest):
-            examined.append(sum(ws) == w + n - 2)
-            return keep(ids, ws, *rest)
+    def source(ws, pools, sub, memo):
+        for chunk in real_source(ws, pools, sub, memo):
+            v = sum(ws) - len(ws) + 2
+            kept[v] = kept.get(v, 0) + len(chunk)
+            yield chunk
 
-        out = canonical_brackets(n, d, w, keep=spy)
+    def layers(*args):
+        yield from real_layers(*args)
         finished.append(True)
-        return out
 
-    monkeypatch.setattr(basis, "canonical_brackets", spied)
-    with pytest.raises(EnumerationCapExceeded):
-        count_by_enumeration(3, 5, 6, FULL, cap=10)
+    monkeypatch.setitem(basis._RULES, mode, (rule, source))
+    monkeypatch.setattr(basis, "bracket_layers", layers)
+    return kept, finished
+
+
+def test_full_rule3_count_stops_at_the_cap(monkeypatch):
+    # (3, 5, 6) has 6278 FULL_RULE3 basics at weight 5 and 62440 at weight
+    # 6; with the cap at 6278 the build must stop shortly after it
+    kept, finished = _count_kept(monkeypatch, FULL)
+    with pytest.raises(EnumerationCapExceeded, match="of weight 6 at"):
+        count_by_enumeration(3, 5, 6, FULL, cap=6278)
     assert not finished
-    assert 10 < sum(examined) < 100
+    assert kept[5] == 6278
+    assert 6278 < kept[6] < 6378
+
+
+def test_full_rule3_cap_bounds_every_weight(monkeypatch):
+    # a lower weight over the cap stops the build there, unfinished
+    kept, finished = _count_kept(monkeypatch, FULL)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        count_by_enumeration(3, 5, 6, FULL, cap=10)
+    assert str(exc.value) == (
+        "basic commutators of weight 3 at (n=3, d=5, w=6) exceed cap 10"
+    )
+    assert not finished
+    assert 10 < kept[3] < 110 and max(kept) == 3
+
+
+def test_full_rule3_counts_never_fall_from_weight_2():
+    # so capping every weight refuses no cell that capping the top weight
+    # alone accepts: one build per (n, d) up to w = 8, to the default cap
+    for n in range(2, 6):
+        for d in range(1, 8):
+            counts = []
+            try:
+                for layer in basis._basics(n, d, 8, FULL, basis.DEFAULT_ENUMERATION_CAP):
+                    counts.append(len(layer))
+            except EnumerationCapExceeded:
+                pass  # the weight over the cap outnumbers every weight before it
+            assert counts == sorted(counts), (n, d)
 
 
 def test_bad_instance_rejected():

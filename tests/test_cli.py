@@ -103,10 +103,10 @@ class WriteThroughStdout(io.StringIO):
 def test_enumerate_writes_in_blocks(monkeypatch, fmt, cell, count):
     n, d, w = cell
     items = basis.enumerate_basic(n, d, w, basis.EnumerationMode.FULL_RULE3)
-    lines = [terms.format_term(bc.term) for bc in items]
+    lines = [terms.format_term(t) for t in items]
     if fmt == "json":
-        lines = [json.dumps({"term": t, "weight": bc.weight, "length": bc.length})
-                 for bc, t in zip(items, lines)]
+        length = terms.commutator_length(n, w)
+        lines = [json.dumps({"term": t, "weight": w, "length": length}) for t in lines]
     out = WriteThroughStdout()
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(["enumerate", "--n", str(n), "--d", str(d), "--w", str(w),
@@ -142,6 +142,16 @@ def test_cli_import_leaves_out_dataclasses():
     assert proc.returncode == 0 and out == "False\n"
 
 
+def test_cli_import_leaves_out_json():
+    # only `enumerate --format json` and the oracle's cell cache use it
+    proc = python_with_src(
+        "-S", "-c", "import sys, nlie.cli; print('json' in sys.modules)",
+        stdout=subprocess.PIPE, text=True,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out == "False\n"
+
+
 def test_cli_import_leaves_out_the_oracle():
     # a cold command that never asks the oracle does not compile it
     proc = python_with_src(
@@ -153,7 +163,7 @@ def test_cli_import_leaves_out_the_oracle():
 
 
 PUBLIC_NAMES = [
-    "BasicCommutator", "EnumerationCapExceeded", "EnumerationMode",
+    "EnumerationCapExceeded", "EnumerationMode",
     "InstanceCeilingExceeded", "LieExpansion", "NonbasicBreakdown",
     "RewriteTrace", "SignedTerm", "Term", "basis", "canonicalize", "collect",
     "collect_lc", "compare", "count_by_enumeration", "count_via_lie",
@@ -261,7 +271,7 @@ def test_count_names_the_enumeration_cap(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == (
         "method enum-full stopped by the enumeration cap: "
-        "basic commutators at (n=3, d=5, w=6) exceed cap 10\n"
+        "basic commutators of weight 3 at (n=3, d=5, w=6) exceed cap 10\n"
     )
 
 

@@ -21,9 +21,9 @@ def _difference(t, lc, n):
 
 
 def test_collect_fixes_basics():
-    for bc in enumerate_basic(3, 3, 4, EnumerationMode.FULL_RULE3):
-        lc, trace = collect(bc.term, 3)
-        assert lc == {bc.term: Fraction(1)}
+    for t in enumerate_basic(3, 3, 4, EnumerationMode.FULL_RULE3):
+        lc, trace = collect(t, 3)
+        assert lc == {t: Fraction(1)}
         assert not trace.capped
         assert all(rule != JACOBI for rule, *_ in trace.steps)
 
