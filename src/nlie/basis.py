@@ -153,7 +153,10 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode):
     LEFT_NORMED weight), else None.  A LEFT_NORMED basic is a core c (an
     ascending n-combination of 1..d) and a multiset of w-2 tails (ascending
     (n-1)-combinations), each at or after c[:-1] in lexicographic order,
-    which is the right-to-left tuple order."""
+    which is the right-to-left tuple order.  Raises ValueError on a bad
+    instance, so each entry point checks it before any other work."""
+    if n < 2 or d < 1 or w < 1:
+        raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
     if w == 1:
         return d
     if w == 2:
@@ -201,8 +204,6 @@ def enumerate_basic(
     term order: their terms, or with `text` their `format_term` texts
     (each made once from its children's).  A closed count above `cap` is
     refused before any build."""
-    if n < 2 or d < 1 or w < 1:
-        raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
     count = _closed_count(n, d, w, mode)
     if count is not None and count > cap:
         raise EnumerationCapExceeded(

@@ -12,15 +12,22 @@ for distinct canonical monomials m_1 > ... > m_n and y_2 > ... > y_n
 distinct, ordered choices span everything).  Instances are generated at
 every hole position, not only the root.
 
-Rows are generated on the integer ids of one `terms.canonical_brackets`
-build, which compare as terms do; the same build lists the slice, after
-`terms.bracket_counts` has sized it against the ceiling.  Contexts come
-from the same build: each is the tuple of sibling-id tuples on the path
-from the hole to the root.  The Jacobi element of each (M, Y) is
-canonicalized once; plugging it into a context re-sorts only the brackets
-on that path, each by inserting one id among siblings that are already
-sorted.  Terms appear only at the API boundary: `graded_monomials` lists
-the slice, and `membership` maps a combination of terms onto its columns.
+Every cell (n, d, w) is one `_Cell`, kept in a module-level dict behind
+`_cell`: its one `terms.canonical_brackets` build and the slice index
+(term -> column), with the content blocks that give its rank built on
+first use.  Each entry point sizes the slice against the ceiling first,
+by `terms.bracket_counts` for a cell not yet built and from the index of
+a cached one, so a refused cell is never built, and a cached one is
+still refused under a smaller ceiling.
+
+Rows are generated on the integer ids of the cell's build, which compare
+as terms do.  Contexts come from the same build: each is the tuple of
+sibling-id tuples on the path from the hole to the root.  The Jacobi
+element of each (M, Y) is canonicalized once; plugging it into a context
+re-sorts only the brackets on that path, each by inserting one id among
+siblings that are already sorted.  Terms appear only at the API boundary:
+`graded_monomials` lists the slice, and `membership` maps a combination
+of terms onto its columns.
 
 Content blocks.  Every term of an instance has the same letter content
 (the number of occurrences of each generator), so the relations split
@@ -62,7 +69,7 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional
@@ -106,28 +113,25 @@ def _choices(total: int, parts: int, pools) -> list:
     return out
 
 
-_MONOMIALS: dict = {}  # (n, d, w) -> the cell's `_monomials`
+_CELLS: dict = {}  # (n, d, w) -> its _Cell, for every cell built
 
 
-def _monomials(n: int, d: int, w: int, build=None) -> dict:
-    """All canonical nonzero monomials of weight w on d letters, ascending,
-    each mapped to its position.  Listed once per cell, from `build` (the
-    cell's canonical_brackets result) when the caller has one."""
-    ms = _MONOMIALS.get((n, d, w))
-    if ms is None:
-        terms, base, _ = build or canonical_brackets(n, d, w)
-        ms = _MONOMIALS[n, d, w] = {t: i for i, t in enumerate(terms[base[w] :])}
-    return ms
+def _cell(n: int, d: int, w: int) -> _Cell:
+    """The cell's `_Cell`, built on first use and kept."""
+    cell = _CELLS.get((n, d, w))
+    if cell is None:
+        cell = _CELLS[n, d, w] = _Cell(n, d, w)
+    return cell
 
 
 def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
-    """The number of weight-w monomials, counted without building them
-    unless the cell is already listed; raises InstanceCeilingExceeded when
-    it is above `ceiling`."""
+    """The number of weight-w monomials, from the index of a cached cell,
+    else counted without a build.  Raises ValueError on a bad instance and
+    InstanceCeilingExceeded when the size is above `ceiling`."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
-    ms = _MONOMIALS.get((n, d, w))
-    size = bracket_counts(n, d, w)[w] if ms is None else len(ms)
+    cell = _CELLS.get((n, d, w))
+    size = bracket_counts(n, d, w)[w] if cell is None else len(cell.index)
     if size > ceiling:
         raise InstanceCeilingExceeded(
             f"{size} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
@@ -139,8 +143,8 @@ def graded_monomials(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> MonomialBasis:
     _slice_size(n, d, w, ceiling)
-    ms = _monomials(n, d, w)
-    return MonomialBasis(n, d, w, list(ms), dict(ms))
+    index = _cell(n, d, w).index
+    return MonomialBasis(n, d, w, list(index), dict(index))
 
 
 def _contexts(n: int, w: int, v: int, pools, content) -> list:
@@ -178,9 +182,11 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
 
 
 class _Cell:
-    """The tables of one `canonical_brackets` build of a cell (which also
-    lists its slice) that its relation rows are generated from, and that
-    `membership` relabels ids with.
+    """All the oracle keeps of one cell: the tables of its one
+    `canonical_brackets` build, which its relation rows are generated from
+    and `membership` relabels ids with; the slice index, each weight-w term
+    mapped to its column (ascending); and, built on first use, the content
+    blocks that give its rank.
 
     A letter content (occurrences of each generator) is packed into one
     int, `width` bits per letter with letter 1 lowest, so the content of
@@ -190,10 +196,9 @@ class _Cell:
     and lam - c is a content only when c <= lam."""
 
     def __init__(self, n: int, d: int, w: int):
-        build = canonical_brackets(n, d, w)
-        _monomials(n, d, w, build)  # the same build lists the slice
+        terms, self.base, self.bracket = canonical_brackets(n, d, w)
         self.n, self.d, self.w = n, d, w
-        _, self.base, self.bracket = build
+        self.index = {t: k for k, t in enumerate(terms[self.base[w] :])}
         self.kids = list(self.bracket)  # kids[i - d]: the child ids of id i
         self.width = commutator_length(n, w).bit_length() + 1
         self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(d))
@@ -212,41 +217,24 @@ class _Cell:
         mask = (1 << self.width) - 1
         return [c >> (self.width * k) & mask for k in range(self.d)]
 
-    def contexts(self, by_content: bool = False) -> dict:
-        """hole weight v -> the spines of `_contexts`, for v = 2..w: a
-        list in generation order, or with by_content a dict from each
-        sibling content to its spines."""
-        out = {}
-        for v in range(2, self.w + 1):
-            pairs = _contexts(self.n, self.w, v, self.pools, self.content)
-            if by_content:
-                out[v] = by = {}
-                for c, spine in pairs:
-                    by.setdefault(c, []).append(spine)
-            else:
-                out[v] = [spine for _, spine in pairs]
-        return out
-
-    def rows(self, spines: dict, lam: Optional[int] = None, block_ids=()):
-        """Yield the nonzero relation rows, in order.  With no content
-        budget (lam None), every row of the slice on the slice's columns,
-        spines[v] listing the spines of hole weight v.  With a packed
-        content lam, the rows of that block on its columns (column k is
-        block_ids[k], the block's slice ids ascending), drawn from pools
-        cut to ids of content <= lam, spines[v] mapping each sibling
-        content to its spines, and at n = 2 only from the instances with
-        y < m_2 (see the module docstring)."""
+    def rows(self, spines: dict, ids, lam: Optional[int] = None):
+        """Yield the nonzero relation rows, in order, on the columns of
+        `ids` (column k is ids[k], slice ids ascending).  With no content
+        budget (lam None), every row of the slice, spines[v] listing the
+        spines of hole weight v.  With a packed content lam, the rows of
+        that block, drawn from pools cut to ids of content <= lam, spines[v]
+        mapping each sibling content to its spines, and at n = 2 only from
+        the instances with y < m_2 (see the module docstring)."""
         n, w, bracket, content, guard = self.n, self.w, self.bracket, self.content, self.guard
+        column = {i: k for k, i in enumerate(ids)}
         if lam is None:
             pools = self.pools
-            column = {i: i - self.base[w] for i in pools[w]}
         else:
             top = lam | guard
             pools = {
                 v: [i for i in self.pools[v] if (top - content[i]) & guard == guard]
                 for v in range(1, w)
             }
-            column = {i: k for k, i in enumerate(block_ids)}
         pairwise = lam is not None and n == 2
         for v in range(2, w + 1):
             ctx = by = spines[v]  # with lam, by sibling content
@@ -318,13 +306,62 @@ class _Cell:
             memo[i] = hit
         return hit
 
+    @cached_property
+    def blocks(self) -> dict:
+        """The cell's relations, one `_Block` per nonempty content block,
+        keyed by its sorted content lam (a non-increasing d-tuple).  Built
+        on first use, so once whatever ceilings ask for the cell: callers
+        check their ceiling first, with _slice_size.
+
+        A row whose normalized form was already fed in is skipped.  The key
+        is the normalized row itself, as a flat tuple of its sorted (column,
+        coefficient) pairs, so no two distinct rows can collide.  The
+        distinct rows of a block are fed in ascending order of their
+        largest column."""
+        n, d, w = self.n, self.d, self.w
+        spines: dict = {}  # v -> sibling content -> spines, once for all the blocks
+        for v in range(2, w + 1):
+            spines[v] = by = {}
+            for c, spine in _contexts(n, w, v, self.pools, self.content):
+                by.setdefault(c, []).append(spine)
+        slice_ids: dict = {}  # packed content -> its slice ids, ascending
+        for i in self.pools[w]:
+            slice_ids.setdefault(self.content[i], []).append(i)
+        length = commutator_length(n, w)
+        blocks = {}
+        for parts in range(1, d + 1):
+            for lam in weight_multisets(length, parts, length):
+                lam += (0,) * (d - parts)
+                packed = self.pack(lam)
+                ids = slice_ids.get(packed)
+                if ids is None:
+                    continue
+                ech = _Echelon()
+                distinct = {}
+                for row in self.rows(spines, ids, packed):
+                    row = ech._normalize(row)
+                    distinct.setdefault(tuple(chain.from_iterable(sorted(row.items()))), row)
+                for row in sorted(distinct.values(), key=max):
+                    ech.insert(row)
+                blocks[lam] = _Block(ids, ech)
+        return blocks
+
+    @property
+    def rank(self) -> int:
+        """The rank of the slice's relations: sum of rank x arrangements."""
+        return sum(b.echelon.rank * _arrangements(lam) for lam, b in self.blocks.items())
+
 
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    cell = _Cell(n, d, w)  # a cold cell's one build
-    rows = list(cell.rows(cell.contexts()))
+    cell = _cell(n, d, w)
+    spines = {
+        v: [spine for _, spine in _contexts(n, w, v, cell.pools, cell.content)]
+        for v in range(2, w + 1)
+    }
+    rows = list(cell.rows(spines, cell.pools[w]))
     return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 
@@ -402,51 +439,6 @@ def _arrangements(lam: tuple) -> int:
     return out
 
 
-class _Space(NamedTuple):
-    blocks: dict  # sorted content -> _Block, the nonempty blocks only
-    rank: int  # of the whole slice: sum of rank x arrangements
-    cell: _Cell  # its tables, for membership
-
-
-@lru_cache(maxsize=None)
-def _relation_space(n: int, d: int, w: int) -> _Space:
-    """The cell's relations, one echelon per nonempty content block, keyed
-    by its sorted content lam (a non-increasing d-tuple).  Keyed on the
-    cell alone, so a cell is built once whatever ceilings ask for it:
-    callers check their ceiling first, with _slice_size or
-    graded_monomials.
-
-    A row whose normalized form was already fed in is skipped.  The key
-    is the normalized row itself, as a flat tuple of its sorted (column,
-    coefficient) pairs, so no two distinct rows can collide.  The distinct
-    rows of a block are fed in ascending order of their largest column."""
-    cell = _Cell(n, d, w)
-    spines = cell.contexts(by_content=True)  # once for all the blocks
-    slice_ids: dict = {}  # packed content -> its slice ids, ascending
-    for i in cell.pools[w]:
-        slice_ids.setdefault(cell.content[i], []).append(i)
-    length = commutator_length(n, w)
-    blocks = {}
-    rank = 0
-    for parts in range(1, d + 1):
-        for lam in weight_multisets(length, parts, length):
-            lam += (0,) * (d - parts)
-            packed = cell.pack(lam)
-            ids = slice_ids.get(packed)
-            if ids is None:
-                continue
-            ech = _Echelon()
-            distinct = {}
-            for row in cell.rows(spines, packed, ids):
-                row = ech._normalize(row)
-                distinct.setdefault(tuple(chain.from_iterable(sorted(row.items()))), row)
-            for row in sorted(distinct.values(), key=max):
-                ech.insert(row)
-            blocks[lam] = _Block(ids, ech)
-            rank += ech.rank * _arrangements(lam)
-    return _Space(blocks, rank, cell)
-
-
 def graded_dimension(
     n: int,
     d: int,
@@ -460,7 +452,9 @@ def graded_dimension(
     directory, computed cells are stored there as one JSON record per
     cell: {n, d, w, basis_size, rank, dim}.  A readable record of the same
     cell is authoritative; an unreadable one, or one naming another cell,
-    is reported with a warning, recomputed and rewritten."""
+    is reported with a warning, recomputed and rewritten.  A record is read
+    only once the cell has passed the instance check and the ceiling."""
+    _slice_size(n, d, w, ceiling)  # refuse the cell before any build or read
     cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if cache_dir:
@@ -468,8 +462,7 @@ def graded_dimension(
         dim = _read_cell(cache_path, n, d, w)
         if dim is not None:
             return dim
-    _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    rank = _relation_space(n, d, w).rank  # a cold cell's one build
+    rank = _cell(n, d, w).rank
     size = len(graded_monomials(n, d, w, ceiling=ceiling).monomials)
     dim = size - rank
     if cache_path:
@@ -545,15 +538,13 @@ def membership(
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    space = _relation_space(n, d, w)  # a cold cell's one build
-    cell = space.cell
-    position = _monomials(n, d, w)
+    cell = _cell(n, d, w)
     first = cell.base[w]
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
     parts: dict = {}  # packed content -> {slice id: integer coefficient}
     for t, c in lc.items():
-        pos = position.get(t)
+        pos = cell.index.get(t)
         if pos is None:
             raise ValueError(f"term outside the monomial slice: {t!r}")
         val = int(Fraction(c) * denom)
@@ -565,7 +556,7 @@ def membership(
         # letters by falling count; the sort is stable, so a sorted content
         # keeps its letters
         order = sorted(range(d), key=lambda k: -counts[k])
-        block = space.blocks[tuple(counts[k] for k in order)]
+        block = cell.blocks[tuple(counts[k] for k in order)]
         if order != list(range(d)):
             letters = [0] * d  # generator id order[k] becomes id k
             for k, g in enumerate(order):

@@ -344,3 +344,8 @@ def test_bad_instance_rejected():
         enumerate_basic(1, 3, 2)
     with pytest.raises(ValueError):
         enumerate_basic(3, 0, 2)
+    for mode in (FULL, LEFT):
+        for cell in [(1, 2, 3), (2, 2, 0), (0, 3, 3), (1, 3, 2), (3, 0, 2)]:
+            for f in (enumerate_basic, count_by_enumeration):
+                with pytest.raises(ValueError, match="^bad instance"):
+                    f(*cell, mode)

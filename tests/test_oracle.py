@@ -217,7 +217,7 @@ def _rows_by_content(cell):
 @pytest.mark.parametrize("cell", [(2, 2, 6), (2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)])
 def test_echelon_rank_matches_dense_fraction_rank(cell):
     rm = relation_rows(*cell)
-    space = oracle._relation_space(*cell)
+    space = oracle._cell(*cell)
     total = sum(
         block.echelon.rank * oracle._arrangements(lam) for lam, block in space.blocks.items()
     )
@@ -233,7 +233,7 @@ def test_echelon_rank_matches_dense_fraction_rank(cell):
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6), (3, 3, 6), (4, 5, 4)])
 def test_echelon_pivots_sit_on_their_largest_column(cell):
-    blocks = oracle._relation_space(*cell).blocks
+    blocks = oracle._cell(*cell).blocks
     assert any(block.echelon.pivots for block in blocks.values())
     for block in blocks.values():
         for col, row in block.echelon.pivots.items():
@@ -249,7 +249,7 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
     for row in rows:
         ech.insert(row)
         assert not ech.insert(row)
-    rank = oracle._relation_space(*cell).rank
+    rank = oracle._cell(*cell).rank
     assert ech.rank == rank
 
     # every block row generated again, negated and doubled: the build
@@ -260,8 +260,8 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
     block_rows = oracle._Cell.rows
     insert = oracle._Echelon.insert
 
-    def doubled(cell, spines, lam, ids):
-        for row in block_rows(cell, spines, lam, ids):
+    def doubled(cell, spines, ids, lam):
+        for row in block_rows(cell, spines, ids, lam):
             generated.setdefault(lam, []).append(row)
             yield row
             yield {k: -2 * c for k, c in row.items()}
@@ -272,7 +272,7 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
 
     monkeypatch.setattr(oracle._Cell, "rows", doubled)
     monkeypatch.setattr(oracle._Echelon, "insert", counted)
-    space = oracle._relation_space.__wrapped__(*cell)
+    space = oracle._Cell(*cell)  # a fresh build, outside the cache
     assert space.rank == rank
     for block in space.blocks.values():
         leads = [max(row) for row in fed.get(id(block.echelon), [])]
@@ -300,7 +300,7 @@ LADDER = {
 @pytest.mark.parametrize("cell", sorted(LADDER))
 def test_blocks_sum_to_the_ladder_cells(cell):
     dim, monomials, _, rank = LADDER[cell]
-    blocks = oracle._relation_space(*cell).blocks
+    blocks = oracle._cell(*cell).blocks
     assert all(lam == tuple(sorted(lam, reverse=True)) for lam in blocks)
     arrangements = {lam: oracle._arrangements(lam) for lam in blocks}
     assert sum(len(b.ids) * arrangements[lam] for lam, b in blocks.items()) == monomials
@@ -341,28 +341,36 @@ def _multigraded_witt(k):
 
 @pytest.mark.parametrize("cell", [(2, 2, 10), (2, 3, 7), (2, 4, 6)])
 def test_n2_blocks_follow_the_multigraded_witt_formula(cell):
-    blocks = oracle._relation_space(*cell).blocks
+    blocks = oracle._cell(*cell).blocks
     assert blocks
     for lam, block in blocks.items():
         assert len(block.ids) - block.echelon.rank == _multigraded_witt(lam)
 
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6)])
-def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell):
+def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell, monkeypatch):
     # only y < m_2 < m_1 is generated at n = 2; the rows it gives are the
     # distinct normalized rows of all instances of the block
     norm = oracle._Echelon._normalize
     by_content = _rows_by_content(cell)
-    built = oracle._Cell(*cell)
-    spines = built.contexts(by_content=True)
+    generated = {}  # packed content -> the block's rows, as generated
+    block_rows = oracle._Cell.rows
+
+    def recorded(built, spines, ids, lam):
+        for row in block_rows(built, spines, ids, lam):
+            generated.setdefault(lam, []).append(norm(row))
+            yield row
+
+    monkeypatch.setattr(oracle._Cell, "rows", recorded)
+    built = oracle._Cell(*cell)  # a fresh build, outside the cache
     restricted_rows = all_rows = 0
-    for lam, block in oracle._relation_space(*cell).blocks.items():
+    for lam, block in built.blocks.items():
         columns, rows = by_content[lam]
         every = {
             frozenset(norm({columns.index(col): c for col, c in row.items()}).items())
             for row in rows
         }
-        restricted = [norm(row) for row in built.rows(spines, built.pack(lam), block.ids)]
+        restricted = generated.get(built.pack(lam), [])
         assert {frozenset(row.items()) for row in restricted} == every
         restricted_rows += len(restricted)
         all_rows += len(rows)
@@ -493,13 +501,28 @@ def test_ceiling_enforced():
         graded_dimension(2, 3, 6, ceiling=5)
 
 
-def test_relation_space_built_once_per_cell_whatever_the_ceiling():
-    oracle._relation_space.cache_clear()
+def _counted_builds(monkeypatch) -> list:
+    """A cold oracle with no cell cached and no cache file, whose calls of
+    canonical_brackets are appended to the returned list."""
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return canonical_brackets(*args, **kwargs)
+
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(oracle, "_CELLS", {})
+    monkeypatch.setattr(oracle, "canonical_brackets", counted)
+    return builds
+
+
+def test_relation_space_built_once_per_cell_whatever_the_ceiling(monkeypatch):
+    builds = _counted_builds(monkeypatch)
     graded_dimension(2, 2, 6, ceiling=2000)
     t = graded_monomials(2, 2, 6).monomials[0]
     membership({t: Fraction(1)}, 2, 2)
-    info = oracle._relation_space.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    # exactly one cell cached, built once
+    assert list(oracle._CELLS) == [(2, 2, 6)] and builds == [(2, 2, 6)]
     # a cached cell is still refused under a smaller ceiling
     with pytest.raises(InstanceCeilingExceeded):
         graded_dimension(2, 2, 6, ceiling=5)
@@ -510,27 +533,32 @@ def test_relation_space_built_once_per_cell_whatever_the_ceiling():
 def test_cold_cell_builds_brackets_once(monkeypatch):
     # the slice is sized by bracket_counts; the one build serves the rows,
     # their contexts and the monomial list
-    builds = []
-
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return canonical_brackets(*args, **kwargs)
-
-    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
-    monkeypatch.setattr(oracle, "canonical_brackets", counted)
-    oracle._MONOMIALS.clear()
-    oracle._relation_space.cache_clear()
+    builds = _counted_builds(monkeypatch)
     assert graded_dimension(2, 2, 10) == 99
-    assert len(graded_monomials(2, 2, 10).monomials) == 99 + oracle._relation_space(2, 2, 10).rank
+    assert len(graded_monomials(2, 2, 10).monomials) == 99 + oracle._cell(2, 2, 10).rank
     assert builds == [(2, 2, 10)]
     # and so do a cold membership and relation_rows
-    oracle._MONOMIALS.clear()
-    oracle._relation_space.cache_clear()
+    oracle._CELLS.clear()
     assert membership({(2, 1): Fraction(1)}, 2, 2) is False
     assert builds == [(2, 2, 10), (2, 2, 2)]
-    oracle._MONOMIALS.clear()
+    oracle._CELLS.clear()
     assert len(relation_rows(2, 2, 5).rows) > 0
     assert builds == [(2, 2, 10), (2, 2, 2), (2, 2, 5)]
+    # the four entry points, in the order of the bench's layers, share
+    # one build of a cold cell
+    t = graded_monomials(3, 4, 5).monomials[0]
+    assert len(relation_rows(3, 4, 5).rows) == 3336
+    assert graded_dimension(3, 4, 5) == 380
+    assert membership({t: Fraction(1)}, 3, 4) is False
+    assert builds[3:] == [(3, 4, 5)]
+
+    # a cached cell is neither built nor counted again
+    def never(*args, **kwargs):
+        raise AssertionError("a cached cell built or counted again")
+
+    monkeypatch.setattr(oracle, "canonical_brackets", never)
+    monkeypatch.setattr(oracle, "bracket_counts", never)
+    assert membership({t: Fraction(1)}, 3, 4) is False
 
 
 def test_refused_cell_is_never_built(monkeypatch):
@@ -611,3 +639,19 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(oracle.CACHE_ENV_VAR, str(tmp_path))
     graded_dimension(2, 2, 3)
     assert (tmp_path / "cell_n2_d2_w3.json").exists()
+
+
+def test_cache_record_is_read_only_within_the_ceiling(tmp_path):
+    d = str(tmp_path)
+    assert graded_dimension(2, 3, 7, ceiling=5000, cache_dir=d) == 312
+    assert (tmp_path / "cell_n2_d3_w7.json").exists()
+    with pytest.raises(InstanceCeilingExceeded, match="^2052 monomials"):
+        graded_dimension(2, 3, 7, ceiling=2000, cache_dir=d)
+    assert graded_dimension(2, 3, 7, ceiling=2052, cache_dir=d) == 312
+
+
+def test_cache_record_of_a_bad_instance_is_not_read(tmp_path):
+    rec = {"n": 1, "d": 2, "w": 3, "basis_size": 2, "rank": 0, "dim": 2}
+    (tmp_path / "cell_n1_d2_w3.json").write_text(json.dumps(rec))
+    with pytest.raises(ValueError, match="bad instance"):
+        graded_dimension(1, 2, 3, cache_dir=str(tmp_path))
