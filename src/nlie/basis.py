@@ -148,12 +148,15 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
 # Counting and enumeration
 
 
-def _closed_count(n: int, d: int, w: int, mode: EnumerationMode):
+def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     """|basics| where a closed form gives it (weights 1 and 2, every
     LEFT_NORMED weight), else None.  A LEFT_NORMED basic is a core c (an
     ascending n-combination of 1..d) and a multiset of w-2 tails (ascending
     (n-1)-combinations), each at or after c[:-1] in lexicographic order,
-    which is the right-to-left tuple order.  Raises ValueError on a bad
+    which is the right-to-left tuple order: the d - p[-1] cores of prefix p,
+    at rank r of N tails, take C(N - r + w - 3, w - 2) each.  The core
+    1..n alone takes >= N (w >= 3, d >= n), so N > cap raises
+    EnumerationCapExceeded before the sum.  Raises ValueError on a bad
     instance, so each entry point checks it before any other work."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
@@ -163,11 +166,14 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode):
         return comb(d, n)
     if mode is not EnumerationMode.LEFT_NORMED:
         return None
-    letters = range(1, d + 1)
-    pos = {s: i for i, s in enumerate(itertools.combinations(letters, n - 1))}
+    tails = comb(d, n - 1)
+    if tails > cap and d >= n:
+        raise EnumerationCapExceeded(
+            f"at least {tails} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
+        )
     return sum(
-        comb(len(pos) - pos[c[:-1]] + w - 3, w - 2)
-        for c in itertools.combinations(letters, n)
+        (d - p[-1]) * comb(tails - r + w - 3, w - 2)
+        for r, p in enumerate(itertools.combinations(range(1, d + 1), n - 1))
     )
 
 
@@ -204,7 +210,7 @@ def enumerate_basic(
     term order: their terms, or with `text` their `format_term` texts
     (each made once from its children's).  A closed count above `cap` is
     refused before any build."""
-    count = _closed_count(n, d, w, mode)
+    count = _closed_count(n, d, w, mode, cap)
     if count is not None and count > cap:
         raise EnumerationCapExceeded(
             f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
@@ -227,6 +233,6 @@ def count_by_enumeration(
     """|enumerate_basic(n, d, w, mode)|, from the closed count where there
     is one.  Elsewhere (FULL_RULE3 from weight 3 on) the basics are built,
     and EnumerationCapExceeded is raised once more than `cap` are found,
-    without building the rest."""
-    count = _closed_count(n, d, w, mode)
+    without building the rest, and for LEFT_NORMED above `cap` tails."""
+    count = _closed_count(n, d, w, mode, cap)
     return len(list(_basics(n, d, w, mode, cap))[-1]) if count is None else count

@@ -76,7 +76,17 @@ def cmd_count(args) -> int:
             file=sys.stderr,
         )
         return 1
-    print(value)
+    try:
+        text = str(value)
+    except ValueError:  # raised only where Python limits int-to-str digits
+        print(
+            f"method {args.method} cannot print its value at (n={args.n}, d={args.d}, "
+            f"w={args.w}): it has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's int-to-str limit",
+            file=sys.stderr,
+        )
+        return 1
+    print(text)
     return 0
 
 

@@ -14,6 +14,7 @@ are surfaced by the comparison report, never reconciled silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
@@ -130,17 +131,16 @@ def ladder(n: int, w: int) -> int:
 def ladder_recursive(n: int, w: int) -> int:
     """The n = d counts via the recursions: l(3,3,w) = l(3,3,w-1) + (w-1)
     with bases l(3,3,1) = 3, l(3,3,2) = 1, and for n > 3
-    l(n,n,w) = sum_{w'=2..w} l(n-1,n-1,w')."""
+    l(n,n,w) = sum_{w'=2..w} l(n-1,n-1,w'), bottom-up: the n = 3 row over
+    w' = 2..w, then n - 3 rounds of prefix sums."""
     if n < 3 or w < 1:
         raise ValueError("ladder_recursive requires n >= 3, w >= 1")
     if w == 1:
         return n
-    if n == 3:
-        val = 1
-        for ww in range(3, w + 1):
-            val += ww - 1
-        return val
-    return sum(ladder_recursive(n - 1, ww) for ww in range(2, w + 1))
+    row = list(accumulate(range(2, w), initial=1))
+    for _ in range(n - 3):
+        row = list(accumulate(row))
+    return row[-1]
 
 
 def weight3_closed_form(n: int, d: int) -> int:

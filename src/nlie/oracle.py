@@ -52,13 +52,12 @@ uses the same generator with no content budget: every row of the slice,
 in the order generated.
 
 The graded dimension is |monomials| - rank(instances), with rank computed
-by exact integer fraction-free elimination.  No floating point, no
-modular shortcuts.  Each row is normalized (divided by the gcd of its
-entries, positive at its largest column) and skipped if the same row was
-already fed in.  The echelon pivots on each row's largest column, which
-limits fill-in in the spirit of Markowitz (1957) and of the structured
-Gaussian elimination of LaMacchia and Odlyzko (1990), and updates the
-row being reduced in place.  A block's distinct rows are fed in
+by exact integer fraction-free elimination.  No floating point, no modular
+shortcuts.  The echelon pivots on each row's largest column, which limits
+fill-in in the spirit of Markowitz (1957) and of the structured Gaussian
+elimination of LaMacchia and Odlyzko (1990), and updates the row being
+reduced in place; a reduced row is normalized (divided by the gcd of its
+entries, positive at its largest column).  A block's rows are fed in
 ascending order of their largest column, so most rows meet few pivots.
 """
 
@@ -66,11 +65,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional
 
@@ -198,7 +195,8 @@ class _Cell:
     def __init__(self, n: int, d: int, w: int):
         terms, self.base, self.bracket = canonical_brackets(n, d, w)
         self.n, self.d, self.w = n, d, w
-        self.index = {t: k for k, t in enumerate(terms[self.base[w] :])}
+        self.columns = list(range(len(terms) - self.base[w]))  # one int per column, shared
+        self.index = dict(zip(terms[self.base[w] :], self.columns))
         self.kids = list(self.bracket)  # kids[i - d]: the child ids of id i
         self.width = commutator_length(n, w).bit_length() + 1
         self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(d))
@@ -210,23 +208,20 @@ class _Cell:
         self.content = content
         self.pools = {v: range(self.base[v], self.base[v + 1]) for v in range(1, w + 1)}
 
-    def pack(self, lam: tuple) -> int:
-        return sum(c << (self.width * k) for k, c in enumerate(lam))
-
     def unpack(self, c: int) -> list:
         mask = (1 << self.width) - 1
         return [c >> (self.width * k) & mask for k in range(self.d)]
 
-    def rows(self, spines: dict, ids, lam: Optional[int] = None):
-        """Yield the nonzero relation rows, in order, on the columns of
-        `ids` (column k is ids[k], slice ids ascending).  With no content
-        budget (lam None), every row of the slice, spines[v] listing the
-        spines of hole weight v.  With a packed content lam, the rows of
-        that block, drawn from pools cut to ids of content <= lam, spines[v]
-        mapping each sibling content to its spines, and at n = 2 only from
-        the instances with y < m_2 (see the module docstring)."""
+    def rows(self, spines: dict, lam: Optional[int] = None):
+        """Yield the nonzero relation rows, in order, on slice columns (id
+        minus base[w]).  With no content budget (lam None), every row of the
+        slice, spines[v] listing the spines of hole weight v.  With a packed
+        content lam, the rows of that block, drawn from pools cut to ids of
+        content <= lam, spines[v] mapping each sibling content to its
+        spines, and at n = 2 only from the instances with y < m_2 (see the
+        module docstring)."""
         n, w, bracket, content, guard = self.n, self.w, self.bracket, self.content, self.guard
-        column = {i: k for k, i in enumerate(ids)}
+        first, columns = self.base[w], self.columns
         if lam is None:
             pools = self.pools
         else:
@@ -279,7 +274,7 @@ class _Cell:
                                         break
                                     coeff, tid = hit
                                 else:
-                                    row[column[tid]] = coeff
+                                    row[columns[tid - first]] = coeff
                             if row:
                                 yield row
 
@@ -308,17 +303,14 @@ class _Cell:
 
     @cached_property
     def blocks(self) -> dict:
-        """The cell's relations, one `_Block` per nonempty content block,
-        keyed by its sorted content lam (a non-increasing d-tuple).  Built
-        on first use, so once whatever ceilings ask for the cell: callers
-        check their ceiling first, with _slice_size.
-
-        A row whose normalized form was already fed in is skipped.  The key
-        is the normalized row itself, as a flat tuple of its sorted (column,
-        coefficient) pairs, so no two distinct rows can collide.  The
-        distinct rows of a block are fed in ascending order of their
-        largest column."""
-        n, d, w = self.n, self.d, self.w
+        """The cell's relations: a `_Block` per nonempty content block of
+        the slice, keyed by its content lam where lam is sorted (a
+        non-increasing d-tuple).  Built on first use, so once whatever
+        ceilings ask for the cell: callers check their ceiling first, with
+        _slice_size.  A block's rows are fed in ascending order of their
+        largest column; the sort is stable, so a repeated or scaled row
+        follows its first copy and reduces to 0."""
+        n, w = self.n, self.w
         spines: dict = {}  # v -> sibling content -> spines, once for all the blocks
         for v in range(2, w + 1):
             spines[v] = by = {}
@@ -327,23 +319,14 @@ class _Cell:
         slice_ids: dict = {}  # packed content -> its slice ids, ascending
         for i in self.pools[w]:
             slice_ids.setdefault(self.content[i], []).append(i)
-        length = commutator_length(n, w)
         blocks = {}
-        for parts in range(1, d + 1):
-            for lam in weight_multisets(length, parts, length):
-                lam += (0,) * (d - parts)
-                packed = self.pack(lam)
-                ids = slice_ids.get(packed)
-                if ids is None:
-                    continue
+        for packed, ids in slice_ids.items():
+            lam = self.unpack(packed)
+            if lam == sorted(lam, reverse=True):
                 ech = _Echelon()
-                distinct = {}
-                for row in self.rows(spines, ids, packed):
-                    row = ech._normalize(row)
-                    distinct.setdefault(tuple(chain.from_iterable(sorted(row.items()))), row)
-                for row in sorted(distinct.values(), key=max):
+                for row in sorted(self.rows(spines, packed), key=max):
                     ech.insert(row)
-                blocks[lam] = _Block(ids, ech)
+                blocks[tuple(lam)] = _Block(ids, ech)
         return blocks
 
     @property
@@ -361,7 +344,7 @@ def relation_rows(
         v: [spine for _, spine in _contexts(n, w, v, cell.pools, cell.content)]
         for v in range(2, w + 1)
     }
-    rows = list(cell.rows(spines, cell.pools[w]))
+    rows = list(cell.rows(spines))
     return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 
@@ -426,7 +409,7 @@ class _Echelon:
 
 
 class _Block(NamedTuple):
-    ids: list  # the block's slice ids, ascending: column k is ids[k]
+    ids: list  # the block's slice ids, ascending: id i is column i - base[w]
     echelon: _Echelon
 
 
@@ -444,18 +427,17 @@ def graded_dimension(
     d: int,
     w: int,
     ceiling: int = DEFAULT_CEILING,
-    cache_dir: Optional[str] = None,
 ) -> int:
     """dim F^w / F^(w+1) on d generators: |monomials| - rank(relations).
 
-    If `cache_dir` (or the environment variable NLIE_ORACLE_CACHE) names a
-    directory, computed cells are stored there as one JSON record per
-    cell: {n, d, w, basis_size, rank, dim}.  A readable record of the same
-    cell is authoritative; an unreadable one, or one naming another cell,
-    is reported with a warning, recomputed and rewritten.  A record is read
+    If the environment variable NLIE_ORACLE_CACHE names a directory,
+    computed cells are stored there as one JSON record per cell: {n, d, w,
+    basis_size, rank, dim}.  A readable record of the same cell is
+    authoritative; an unreadable one, or one naming another cell, is
+    reported with a warning, recomputed and rewritten.  A record is read
     only once the cell has passed the instance check and the ceiling."""
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build or read
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
+    cache_dir = os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if cache_dir:
         cache_path = os.path.join(cache_dir, f"cell_n{n}_d{d}_w{w}.json")
@@ -567,7 +549,7 @@ def membership(
                 s, j = cell.relabel(i, letters, memo)
                 relabeled[j] = s * val
             part = relabeled
-        row = {bisect_left(block.ids, i): val for i, val in part.items()}
+        row = {i - first: val for i, val in part.items()}
         if block.echelon.reduce(row):
             return False
     return True

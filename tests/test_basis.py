@@ -281,6 +281,25 @@ def test_enumeration_cap():
     assert count_by_enumeration(3, 3, 6, LEFT, cap=10) == 15
 
 
+def test_left_normed_closed_count_is_the_length_of_its_build():
+    cap = basis.DEFAULT_ENUMERATION_CAP
+    for n in range(2, 5):
+        for d in range(1, 7):
+            for w in range(3, 7):
+                built = list(basis._basics(n, d, w, LEFT, cap))[-1]
+                assert basis._closed_count(n, d, w, LEFT, cap) == len(built), (n, d, w)
+
+
+def test_left_normed_count_refuses_more_tails_than_the_cap_unsummed():
+    # the core 1..n alone has C(N + w - 3, w - 2) >= N basics, N = C(d, n-1)
+    with pytest.raises(EnumerationCapExceeded, match="^at least 100000000 basic"):
+        count_by_enumeration(2, 10**8, 3, LEFT)
+    with pytest.raises(EnumerationCapExceeded, match="^at least 100000000 basic"):
+        enumerate_basic(2, 10**8, 3, LEFT)
+    # with fewer letters than n there are no cores, whatever the cap
+    assert count_by_enumeration(3, 2, 4, LEFT, cap=0) == 0
+
+
 def _count_kept(monkeypatch, mode):
     """Spy on the build: per weight, the brackets the mode's source has
     yielded, and whether the build finished."""

@@ -58,6 +58,16 @@ def test_count_inapplicable_method(capsys):
     assert "does not apply" in err
 
 
+def test_count_above_the_int_str_limit_is_one_line_error(capsys):
+    code, out, err = run(capsys, "count", "--n", "2", "--d", "3", "--w", "99999",
+                         "--method", "witt")
+    assert (code, out) == (1, "")
+    assert err == (
+        "method witt cannot print its value at (n=2, d=3, w=99999): it has more "
+        f"than {sys.get_int_max_str_digits()} digits, Python's int-to-str limit\n"
+    )
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--d", "3", "--w", "3")
     assert code == 0

@@ -89,6 +89,8 @@ def test_ladder_recursive_agrees():
     for n in range(3, 7):
         for w in range(1, 9):
             assert ladder_recursive(n, w) == ladder(n, w)
+    # bottom-up, so a large cell is instant
+    assert ladder_recursive(12, 40) == ladder(12, 40) == 29135916264
 
 
 def test_weight3_closed_form_values():

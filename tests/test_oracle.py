@@ -233,11 +233,14 @@ def test_echelon_rank_matches_dense_fraction_rank(cell):
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6), (3, 3, 6), (4, 5, 4)])
 def test_echelon_pivots_sit_on_their_largest_column(cell):
-    blocks = oracle._cell(*cell).blocks
-    assert any(block.echelon.pivots for block in blocks.values())
-    for block in blocks.values():
+    space = oracle._cell(*cell)
+    first = space.base[cell[2]]
+    assert any(block.echelon.pivots for block in space.blocks.values())
+    for block in space.blocks.values():
+        # every column of a pivot is a slice column of the block's content
+        columns = {i - first for i in block.ids}
         for col, row in block.echelon.pivots.items():
-            assert col == max(row) < len(block.ids)
+            assert col == max(row) and row.keys() <= columns
             assert row[col] > 0
             assert gcd(*row.values()) == 1
 
@@ -249,19 +252,20 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
     for row in rows:
         ech.insert(row)
         assert not ech.insert(row)
-    rank = oracle._cell(*cell).rank
+    cached = oracle._cell(*cell)
+    rank = cached.rank
     assert ech.rank == rank
 
     # every block row generated again, negated and doubled: the build
-    # skips the copies and feeds each block's distinct rows in ascending
-    # order of their largest column
+    # feeds every row, copies included, in ascending order of the largest
+    # column, and each block keeps the rank and pivots of the cached build
     generated = {}
     fed = {}
     block_rows = oracle._Cell.rows
     insert = oracle._Echelon.insert
 
-    def doubled(cell, spines, ids, lam):
-        for row in block_rows(cell, spines, ids, lam):
+    def doubled(cell, spines, lam):
+        for row in block_rows(cell, spines, lam):
             generated.setdefault(lam, []).append(row)
             yield row
             yield {k: -2 * c for k, c in row.items()}
@@ -274,14 +278,13 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
     monkeypatch.setattr(oracle._Echelon, "insert", counted)
     space = oracle._Cell(*cell)  # a fresh build, outside the cache
     assert space.rank == rank
-    for block in space.blocks.values():
+    assert space.blocks.keys() == cached.blocks.keys()
+    for lam, block in space.blocks.items():
+        assert block.echelon.rank == cached.blocks[lam].echelon.rank
+        assert block.echelon.pivots == cached.blocks[lam].echelon.pivots
         leads = [max(row) for row in fed.get(id(block.echelon), [])]
         assert leads == sorted(leads)
-    distinct = sum(
-        len({frozenset(oracle._Echelon._normalize(row).items()) for row in rows})
-        for rows in generated.values()
-    )
-    assert sum(map(len, fed.values())) == distinct <= sum(map(len, generated.values()))
+    assert sum(map(len, fed.values())) == 2 * sum(map(len, generated.values())) > 0
 
 
 # (n, d, w): (dim, monomials, rows, rank), as frozen for the benchmark ladder
@@ -353,24 +356,21 @@ def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell, monkeypatc
     # distinct normalized rows of all instances of the block
     norm = oracle._Echelon._normalize
     by_content = _rows_by_content(cell)
-    generated = {}  # packed content -> the block's rows, as generated
+    generated = {}  # block content -> the block's rows, as generated
     block_rows = oracle._Cell.rows
 
-    def recorded(built, spines, ids, lam):
-        for row in block_rows(built, spines, ids, lam):
-            generated.setdefault(lam, []).append(norm(row))
+    def recorded(built, spines, lam):
+        for row in block_rows(built, spines, lam):
+            generated.setdefault(tuple(built.unpack(lam)), []).append(norm(row))
             yield row
 
     monkeypatch.setattr(oracle._Cell, "rows", recorded)
     built = oracle._Cell(*cell)  # a fresh build, outside the cache
     restricted_rows = all_rows = 0
     for lam, block in built.blocks.items():
-        columns, rows = by_content[lam]
-        every = {
-            frozenset(norm({columns.index(col): c for col, c in row.items()}).items())
-            for row in rows
-        }
-        restricted = generated.get(built.pack(lam), [])
+        _, rows = by_content[lam]  # on slice columns, as the block's rows
+        every = {frozenset(norm(row).items()) for row in rows}
+        restricted = generated.get(lam, [])
         assert {frozenset(row.items()) for row in restricted} == every
         restricted_rows += len(restricted)
         all_rows += len(rows)
@@ -582,9 +582,14 @@ def test_bad_instance_rejected():
         graded_monomials(2, 0, 2)
 
 
-def test_json_cell_cache_roundtrip(tmp_path):
-    d = str(tmp_path)
-    val = graded_dimension(2, 2, 4, cache_dir=d)
+@pytest.fixture
+def oracle_cache(tmp_path, monkeypatch):
+    """The oracle cache directory, NLIE_ORACLE_CACHE, set to tmp_path."""
+    monkeypatch.setenv(oracle.CACHE_ENV_VAR, str(tmp_path))
+
+
+def test_json_cell_cache_roundtrip(tmp_path, oracle_cache):
+    val = graded_dimension(2, 2, 4)
     files = list(tmp_path.glob("cell_*.json"))
     assert len(files) == 1
     rec = json.loads(files[0].read_text())
@@ -600,37 +605,37 @@ def test_json_cell_cache_roundtrip(tmp_path):
     # the cached record is authoritative on re-read
     rec["dim"] = 999
     files[0].write_text(json.dumps(rec))
-    assert graded_dimension(2, 2, 4, cache_dir=d) == 999
+    assert graded_dimension(2, 2, 4) == 999
 
 
-def test_truncated_cache_record_is_recomputed(tmp_path):
+def test_truncated_cache_record_is_recomputed(tmp_path, oracle_cache):
     path = tmp_path / "cell_n2_d2_w5.json"
-    assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+    assert graded_dimension(2, 2, 5) == 6
     path.write_text(path.read_text()[:10])
     with pytest.warns(RuntimeWarning, match="is unreadable"):
-        assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+        assert graded_dimension(2, 2, 5) == 6
     assert json.loads(path.read_text())["dim"] == 6
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_cache_record_of_another_cell_is_recomputed(tmp_path):
+def test_cache_record_of_another_cell_is_recomputed(tmp_path, oracle_cache):
     path = tmp_path / "cell_n2_d2_w5.json"
     rec = {"n": 2, "d": 2, "w": 4, "basis_size": 4, "rank": 1, "dim": 3}
     path.write_text(json.dumps(rec))
     with pytest.warns(RuntimeWarning, match="not a record of"):
-        assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+        assert graded_dimension(2, 2, 5) == 6
     rec = json.loads(path.read_text())
     assert (rec["n"], rec["d"], rec["w"], rec["dim"]) == (2, 2, 5, 6)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize("dim", [True, -4])
-def test_cache_record_without_a_dimension_is_recomputed(tmp_path, dim):
+def test_cache_record_without_a_dimension_is_recomputed(tmp_path, dim, oracle_cache):
     path = tmp_path / "cell_n2_d2_w5.json"
     rec = {"n": 2, "d": 2, "w": 5, "basis_size": 14, "rank": 8, "dim": dim}
     path.write_text(json.dumps(rec))
     with pytest.warns(RuntimeWarning, match="holds no dimension"):
-        assert graded_dimension(2, 2, 5, cache_dir=str(tmp_path)) == 6
+        assert graded_dimension(2, 2, 5) == 6
     rec = json.loads(path.read_text())
     assert (rec["n"], rec["d"], rec["w"], rec["dim"]) == (2, 2, 5, 6)
 
@@ -641,17 +646,16 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "cell_n2_d2_w3.json").exists()
 
 
-def test_cache_record_is_read_only_within_the_ceiling(tmp_path):
-    d = str(tmp_path)
-    assert graded_dimension(2, 3, 7, ceiling=5000, cache_dir=d) == 312
+def test_cache_record_is_read_only_within_the_ceiling(tmp_path, oracle_cache):
+    assert graded_dimension(2, 3, 7, ceiling=5000) == 312
     assert (tmp_path / "cell_n2_d3_w7.json").exists()
     with pytest.raises(InstanceCeilingExceeded, match="^2052 monomials"):
-        graded_dimension(2, 3, 7, ceiling=2000, cache_dir=d)
-    assert graded_dimension(2, 3, 7, ceiling=2052, cache_dir=d) == 312
+        graded_dimension(2, 3, 7, ceiling=2000)
+    assert graded_dimension(2, 3, 7, ceiling=2052) == 312
 
 
-def test_cache_record_of_a_bad_instance_is_not_read(tmp_path):
+def test_cache_record_of_a_bad_instance_is_not_read(tmp_path, oracle_cache):
     rec = {"n": 1, "d": 2, "w": 3, "basis_size": 2, "rank": 0, "dim": 2}
     (tmp_path / "cell_n1_d2_w3.json").write_text(json.dumps(rec))
     with pytest.raises(ValueError, match="bad instance"):
-        graded_dimension(1, 2, 3, cache_dir=str(tmp_path))
+        graded_dimension(1, 2, 3)
