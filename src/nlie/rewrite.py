@@ -29,6 +29,7 @@ from .terms import (
     check_term,
     is_leaf,
     lc_add,
+    lc_merge,
     term_key,
 )
 
@@ -52,32 +53,20 @@ class RewriteTrace:
         self.steps.append((rule, path, before, after))
 
 
-def _subterm(t: Term, path: tuple) -> Term:
-    for i in path:
+def _summands(t: Term, path: tuple, n: int) -> list:
+    """The n raw summands of t with the node at `path` (a bracket whose
+    first child is a bracket) replaced by the RHS of the generalized
+    Jacobi identity, built in one recursion down the path."""
+    if path:
+        i = path[0]
         if is_leaf(t) or i >= len(t):
-            raise ValueError(f"invalid path {path!r} in {t!r}")
-        t = t[i]
-    return t
-
-
-def _replace(t: Term, path: tuple, new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    return t[:i] + (_replace(t[i], path[1:], new),) + t[i + 1 :]
-
-
-def _jacobi_terms(t: Term, path: tuple, n: int):
-    """Canonical nonzero (sign, term) summands of t with the node at `path`
-    (a bracket whose first child is a bracket) replaced by the RHS of the
-    generalized Jacobi identity."""
-    node = _subterm(t, path)
-    head, ys = node[0], node[1:]
-    for i in range(n):
-        summand = head[:i] + ((head[i],) + ys,) + head[i + 1 :]
-        s, ct = canonicalize(_replace(t, path, summand), n)
-        if s != 0:
-            yield s, ct
+            raise ValueError(f"invalid path step {i} in {t!r}")
+        pre, post = t[:i], t[i + 1 :]
+        return [pre + (s,) + post for s in _summands(t[i], path[1:], n)]
+    if is_leaf(t) or is_leaf(t[0]):
+        raise ValueError(f"{t!r} is not a bracket with a bracket in its first slot")
+    head, ys = t[0], t[1:]
+    return [head[:i] + ((head[i],) + ys,) + head[i + 1 :] for i in range(n)]
 
 
 def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
@@ -85,14 +74,11 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
     combination (each term canonicalized) congruent to t modulo the
     defining relations."""
     check_term(t, n)
-    node = _subterm(t, path)
-    if is_leaf(node) or is_leaf(node[0]):
-        raise ValueError(
-            f"node at {path!r} is not a bracket with a bracket in its first slot"
-        )
     lc: dict = {}
-    for s, ct in _jacobi_terms(t, path, n):
-        lc_add(lc, ct, Fraction(s))
+    for summand in _summands(t, path, n):
+        s, ct = canonicalize(summand, n)
+        if s != 0:
+            lc_add(lc, ct, Fraction(s))
     return lc
 
 
@@ -137,15 +123,16 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
             continue
         if steps >= cap:
             trace.capped = True
-            lc_add(out, u, c)
-            for v, cv in work.items():
-                lc_add(out, v, cv)
+            work[u] = c
             break
         steps += 1
         before = len(work) + 1
-        for ss, cs in _jacobi_terms(u, path, n):
-            lc_add(work, cs, c * ss)
+        for summand in _summands(u, path, n):
+            ss, cs = canonicalize(summand, n)
+            if ss != 0:
+                lc_add(work, cs, c * ss)
         trace.record(JACOBI, path, before, len(work))
+    lc_merge(out, work)  # the residual, if the budget ran out
     return out, trace
 
 
@@ -157,6 +144,5 @@ def collect_lc(lc: dict, n: int, cap: int = DEFAULT_STEP_BUDGET):
         part, tr = collect(t, n, cap=cap)
         trace.steps.extend(tr.steps)
         trace.capped = trace.capped or tr.capped
-        for u, cu in part.items():
-            lc_add(out, u, c * cu)
+        lc_merge(out, part, c)
     return out, trace

@@ -93,9 +93,22 @@ def test_ladder_recursive_agrees():
     assert ladder_recursive(12, 40) == ladder(12, 40) == 29135916264
 
 
+def _weight3_double_sum(n, d):
+    """The weight-3 closed form's double sum, evaluated term by term."""
+    return sum(
+        (d - j) * (comb(d - i + 1, n - 1) - j + i + 1)
+        for i in range(1, d - n + 2)
+        for j in range(i + 1, d)
+    )
+
+
 def test_weight3_closed_form_values():
     assert weight3_closed_form(4, 4) == 11
     assert weight3_closed_form(2, 2) == 0
+    for n in range(2, 9):
+        for d in range(n, 40):
+            assert weight3_closed_form(n, d) == _weight3_double_sum(n, d)
+    assert weight3_closed_form(2, 100000) == 8333333327500050000
     with pytest.raises(ValueError):
         weight3_closed_form(3, 2)
 

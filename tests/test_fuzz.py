@@ -98,8 +98,41 @@ def _left_normed(n, d, w_max):
     return st.tuples(letters(n).map(tuple), tails).map(build)
 
 
+@st.composite
+def _shaped(draw, n, d, w):
+    """A bracket of any shape and exact weight w >= 2 on letters 1..d: its n
+    child weights lie in 1..w-1 and sum to w + n - 2, and its leaf children
+    are distinct letters, so no bracket has two equal leaves."""
+    left, kids, leaves = w + n - 2, [], []
+    for k in range(n - 1, -1, -1):  # k children still to come after this one
+        cw = draw(st.integers(max(1, left - k * (w - 1)), min(w - 1, left - k)))
+        if cw == 1:
+            free = [x for x in range(1, d + 1) if x not in leaves]
+            leaves.append(draw(st.sampled_from(free)))
+            kids.append(leaves[-1])
+        else:
+            kids.append(draw(_shaped(n, d, cw)))
+        left -= cw
+    return tuple(kids)
+
+
+def _any_shape(n, d, w_max):
+    """Terms of weight 2..w_max and arbitrary shape, as (n, d, term)."""
+    return st.sampled_from(range(2, w_max + 1)).flatmap(
+        lambda w: _shaped(n, d, w).map(lambda t: (n, d, t))
+    )
+
+
 @fuzz
-@given(st.one_of(_left_normed(2, 2, 7), _left_normed(3, 3, 5)))
+@given(
+    st.one_of(
+        _left_normed(2, 2, 7),
+        _left_normed(3, 3, 5),
+        _any_shape(2, 3, 6),
+        _any_shape(3, 4, 5),
+        _any_shape(4, 5, 4),
+    )
+)
 def test_collect_stays_in_the_relation_span_and_ends_in_basics(ndt):
     n, d, t = ndt
     lc, trace = collect(t, n)

@@ -467,6 +467,8 @@ def test_membership_rejects_nonmembers():
 def test_membership_mixed_weight_rejected():
     with pytest.raises(ValueError):
         membership({(2, 1): Fraction(1), 1: Fraction(1)}, 2, 2)
+    with pytest.raises(ValueError, match="outside the monomial slice"):
+        membership({(3, 1): Fraction(1)}, 2, 2)  # x3 is not a letter at d=2
 
 
 def test_membership_empty_is_trivial():

@@ -82,6 +82,10 @@ def test_expand_jacobi_rejects_leaf_headed_nodes():
         expand_jacobi((3, 2, 1), (), 3)
     with pytest.raises(ValueError):
         expand_jacobi(((3, 2, 1), 2, 1), (1,), 3)
+    with pytest.raises(ValueError, match="invalid path step 5"):
+        expand_jacobi((3, 2, 1), (5,), 3)  # past the bracket's arity
+    with pytest.raises(ValueError, match="invalid path step 0"):
+        expand_jacobi(((3, 2, 1), 2, 1), (1, 0), 3)  # a step into a leaf
 
 
 def test_collect_linear_in_input():
@@ -115,6 +119,19 @@ def test_step_budget_caps_and_flags():
     assert not trace2.capped
     assert any(not is_basic(u, 3, EnumerationMode.FULL_RULE3) for u in lc)
     assert all(is_basic(u, 3, EnumerationMode.FULL_RULE3) for u in lc2)
+    # at cap=5 the budget runs out on a non-basic term while one more term
+    # is still waiting in the work combination; both reach the output
+    u = ((((((1, 2), 2), 1), 1), 1), 2)
+    lc, trace = collect(u, 2, cap=5)
+    assert trace.capped
+    assert [rule for rule, *_ in trace.steps] == ["SKEW"] + [JACOBI] * 5
+    assert lc == {
+        ((((2, 1), 1), 1), ((2, 1), 2)): Fraction(-1),
+        (((((2, 1), 1), 1), 2), (2, 1)): Fraction(-1),
+        ((((((2, 1), 1), 1), 1), 2), 2): Fraction(-1),
+        (((((2, 1), 1), 1), (2, 1)), 2): Fraction(-1),
+    }
+    assert oracle.membership(_difference(u, lc, 2), 2, 2)
 
 
 def test_trace_records_jacobi_steps():

@@ -12,6 +12,7 @@ from nlie.terms import (
     bracket_counts,
     canonical_brackets,
     canonicalize,
+    check_term,
     compare,
     format_term,
     is_canonical,
@@ -53,6 +54,10 @@ def test_parse_errors_report_position():
         parse("x1x2", 2)
     with pytest.raises(TermSyntaxError):
         parse("[x1,x2", 2)
+    with pytest.raises(TermSyntaxError, match="end of input at position 4"):
+        parse("[x1,", 2)
+    with pytest.raises(TermSyntaxError, match=">= 1 at position 2"):
+        parse("x0", 2)
 
 
 def test_parse_arity_mismatch():
@@ -60,6 +65,16 @@ def test_parse_arity_mismatch():
         parse("[x1,x2,x3]", 2)
     with pytest.raises(ArityError):
         parse("[x1,x2]", 3)
+
+
+def test_check_term_rejects_malformed_terms():
+    with pytest.raises(ValueError, match=">= 1, got 0"):
+        check_term((2, 0), 2)
+    with pytest.raises(TypeError, match="not a term"):
+        check_term((2, [1, 2]), 2)
+    with pytest.raises(ArityError):
+        check_term((2, (1, 2, 3)), 2)
+    check_term(((2, 1), 1), 2)
 
 
 def test_weight_and_length():
