@@ -15,7 +15,8 @@ descent among equal weights, and lighter children.
 
 Counts are closed forms at weights 1 and 2 and at every LEFT_NORMED
 weight; FULL_RULE3 from weight 3 on is counted by its one build, which
-stops as soon as any weight keeps more than the cap.  Nothing is cached.
+stops as soon as any weight keeps more than the cap, and does not start
+when weight 2, all C(d, n) cores, would.  Nothing is cached.
 
 Two rules are implemented:
 
@@ -156,8 +157,10 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     which is the right-to-left tuple order: the d - p[-1] cores of prefix p,
     at rank r of N tails, take C(N - r + w - 3, w - 2) each.  The core
     1..n alone takes >= N (w >= 3, d >= n), so N > cap raises
-    EnumerationCapExceeded before the sum.  Raises ValueError on a bad
-    instance, so each entry point checks it before any other work."""
+    EnumerationCapExceeded before the sum.  A FULL_RULE3 build keeps all
+    C(d, n) cores at weight 2, so C(d, n) > cap raises its message unbuilt.
+    Raises ValueError on a bad instance, so each entry point checks it
+    before any other work."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
     if w == 1:
@@ -165,6 +168,10 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     if w == 2:
         return comb(d, n)
     if mode is not EnumerationMode.LEFT_NORMED:
+        if comb(d, n) > cap:  # the build's weight 2: every core is basic
+            raise EnumerationCapExceeded(
+                f"basic commutators of weight 2 at (n={n}, d={d}, w={w}) exceed cap {cap}"
+            )
         return None
     tails = comb(d, n - 1)
     if tails > cap and d >= n:

@@ -145,15 +145,13 @@ def ladder_recursive(n: int, w: int) -> int:
 
 def weight3_closed_form(n: int, d: int) -> int:
     """The double-sum closed form for weight 3:
-    sum_{i=1}^{d-n+1} sum_{j=i+1}^{d-1} (d-j)[C(d-i+1, n-1) - j + i + 1].
-    The inner sum over j is summed in closed form, so this evaluates the
-    same formula as sum_i [C(d-i+1, n-1) C(d-i, 2) - C(d-i, 3)] in O(d)
-    (empty ranges give 0)."""
+    sum_{i=1}^{d-n+1} sum_{j=i+1}^{d-1} (d-j)[C(d-i+1, n-1) - j + i + 1],
+    both sums taken in closed form (hockey-stick identities), so O(1)."""
     if n < 2 or d < n:
         raise ValueError("weight3_closed_form requires n >= 2, d >= n")
-    return sum(
-        comb(d - i + 1, n - 1) * comb(d - i, 2) - comb(d - i, 3)
-        for i in range(1, d - n + 2)
+    return (
+        comb(n + 1, 2) * comb(d + 1, n + 2) + n * (n - 2) * comb(d + 1, n + 1)
+        + comb(n - 2, 2) * (comb(d + 1, n) - 1) - comb(d, 4) + comb(n - 1, 4)
     )
 
 
@@ -162,20 +160,22 @@ def _beta_sum(n: int, d: int) -> int:
     lies in the range C(k-1, n-1) + 1 <= j <= C(k, n-1) of exactly one k in
     {n-1,...,d-1} (the ranges tile 1..alpha_0), and there
     j* = C(k-1, n-1) + 1 and beta_{j*} = d - n - j* + 2.  So each range
-    adds its C(k-1, n-2) members times d - n - C(k-1, n-1) + 1."""
-    return sum(
-        comb(k - 1, n - 2) * (d - n - comb(k - 1, n - 1) + 1)
-        for k in range(n - 1, d)
+    adds its C(k-1, n-2) members times d - n - C(k-1, n-1) + 1.  That sum
+    over k is taken by the hockey stick after C(m, a) C(m, b) =
+    sum_i C(i, a) C(a, i-b) C(m, i), so O(n)."""
+    return (d - n + 1) * comb(d - 1, n - 1) - sum(
+        comb(i, n - 2) * comb(n - 2, i - n + 1) * comb(d - 1, i + 1)
+        for i in range(n - 1, 2 * n - 2)
     )
 
 
 def weight4_closed_form(n: int, d: int) -> int:
     """Closed form for weight 4:
-    sum_j beta_{j*} (C(C(d, n-1), 2) + C(d, n-1))."""
+    sum_j beta_{j*} (C(C(d, n-1), 2) + C(d, n-1)), which is
+    `weightw_closed_form` at w = 4."""
     if n < 2 or d < n:
         raise ValueError("weight4_closed_form requires n >= 2, d >= n")
-    inner = comb(comb(d, n - 1), 2) + comb(d, n - 1)
-    return _beta_sum(n, d) * inner
+    return weightw_closed_form(n, d, 4)
 
 
 def weightw_closed_form(n: int, d: int, w: int) -> int:

@@ -68,12 +68,14 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional
 
 from .terms import (
     bracket_counts,
     canonical_brackets,
+    canonicalize,
     commutator_length,
     distinct_descending,
     weight,
@@ -180,10 +182,10 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
 
 class _Cell:
     """All the oracle keeps of one cell: the tables of its one
-    `canonical_brackets` build, which its relation rows are generated from
-    and `membership` relabels ids with; the slice index, each weight-w term
-    mapped to its column (ascending); and, built on first use, the content
-    blocks that give its rank.
+    `canonical_brackets` build, which its relation rows are generated
+    from; the slice index, each weight-w term mapped to its column
+    (ascending); and, built on first use, the content blocks that give its
+    rank.
 
     A letter content (occurrences of each generator) is packed into one
     int, `width` bits per letter with letter 1 lowest, so the content of
@@ -197,12 +199,11 @@ class _Cell:
         self.n, self.d, self.w = n, d, w
         self.columns = list(range(len(terms) - self.base[w]))  # one int per column, shared
         self.index = dict(zip(terms[self.base[w] :], self.columns))
-        self.kids = list(self.bracket)  # kids[i - d]: the child ids of id i
         self.width = commutator_length(n, w).bit_length() + 1
         self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(d))
         content = [1 << (self.width * k) for k in range(d)]
         shared: dict = {}  # one int object per distinct content
-        for ids in self.kids:  # in id order, children first
+        for ids in self.bracket:  # in id order, children first
             c = sum(map(content.__getitem__, ids))
             content.append(shared.setdefault(c, c))
         self.content = content
@@ -277,29 +278,6 @@ class _Cell:
                                     row[columns[tid - first]] = coeff
                             if row:
                                 yield row
-
-    def relabel(self, i: int, letters: list, memo: dict) -> tuple:
-        """(sign, id): id i with each generator id g replaced by
-        letters[g] (a permutation), canonicalized.  memo caches the ids
-        already relabeled under `letters`."""
-        hit = memo.get(i)
-        if hit is None:
-            if i < self.d:
-                hit = (1, letters[i])
-            else:
-                sign, ids = 1, []
-                for k in self.kids[i - self.d]:
-                    s, j = self.relabel(k, letters, memo)
-                    # j moves in front of the smaller ids: one flip per id
-                    # passed (no id repeats, as relabeling is injective)
-                    q = 0
-                    while q < len(ids) and ids[q] > j:
-                        q += 1
-                    sign *= -s if (len(ids) - q) & 1 else s
-                    ids.insert(q, j)
-                hit = (sign, self.bracket[tuple(ids)])
-            memo[i] = hit
-        return hit
 
     @cached_property
     def blocks(self) -> dict:
@@ -501,6 +479,13 @@ def _write_cell(path: str, rec: dict) -> None:
             os.unlink(tmp)
 
 
+def _relabel(t, letters: dict):
+    """t with each generator k replaced by letters[k]."""
+    if isinstance(t, int):
+        return letters[t]
+    return tuple(map(_relabel, t, repeat(letters)))  # one frame per level
+
+
 def membership(
     lc: dict, n: int, d: int, ceiling: int = DEFAULT_CEILING
 ) -> bool:
@@ -509,10 +494,11 @@ def membership(
     trivially a member.
 
     Each content part of the combination is reduced in the echelon of its
-    block.  A part whose content is not sorted first has its letters
-    relabeled so that it is, each id canonicalized with its sign:
-    relabeling is an automorphism of the free algebra, so it maps the
-    relations of one block onto those of the other."""
+    block, on slice columns.  A part whose content is not sorted first has
+    the letters of its terms relabeled so that it is, each term then
+    canonicalized by `terms.canonicalize`, whose sign scales its
+    coefficient: relabeling is an automorphism of the free algebra, so it
+    maps the relations of one block onto those of the other."""
     if not lc:
         return True
     weights = {weight(t, n) for t in lc}
@@ -521,35 +507,25 @@ def membership(
     w = weights.pop()
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
     cell = _cell(n, d, w)
-    first = cell.base[w]
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
-    parts: dict = {}  # packed content -> {slice id: integer coefficient}
+    parts: dict = {}  # packed content -> {term: integer coefficient}
     for t, c in lc.items():
-        pos = cell.index.get(t)
-        if pos is None:
+        col = cell.index.get(t)
+        if col is None:
             raise ValueError(f"term outside the monomial slice: {t!r}")
         val = int(Fraction(c) * denom)
         if val:
-            i = first + pos
-            parts.setdefault(cell.content[i], {})[i] = val
+            parts.setdefault(cell.content[cell.base[w] + col], {})[t] = val
     for content, part in parts.items():
         counts = cell.unpack(content)
-        # letters by falling count; the sort is stable, so a sorted content
-        # keeps its letters
-        order = sorted(range(d), key=lambda k: -counts[k])
-        block = cell.blocks[tuple(counts[k] for k in order)]
-        if order != list(range(d)):
-            letters = [0] * d  # generator id order[k] becomes id k
-            for k, g in enumerate(order):
-                letters[g] = k
-            memo: dict = {}
-            relabeled = {}
-            for i, val in part.items():
-                s, j = cell.relabel(i, letters, memo)
-                relabeled[j] = s * val
-            part = relabeled
-        row = {i - first: val for i, val in part.items()}
+        order = sorted(range(1, d + 1), key=lambda g: -counts[g - 1])  # by falling count
+        block = cell.blocks[tuple(counts[g - 1] for g in order)]
+        letters = {g: k for k, g in enumerate(order, 1)}  # generator order[k - 1] becomes k
+        row = {}
+        for t, val in part.items():
+            s, t = canonicalize(_relabel(t, letters), n)
+            row[cell.index[t]] = s * val
         if block.echelon.reduce(row):
             return False
     return True

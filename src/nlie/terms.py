@@ -217,14 +217,19 @@ def is_canonical(t: Term, n: int) -> bool:
 
 def weight_multisets(total: int, parts: int, cap: int):
     """Non-increasing compositions of `total` into `parts` parts, each in
-    [1, cap]."""
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total - (parts - 1)), 0, -1):
-        for rest in weight_multisets(total - first, parts - 1, first):
-            yield (first,) + rest
+    [1, cap], in descending lexicographic order.  An explicit stack, not
+    recursion, so any number of parts works."""
+    stack = [((), total, parts, cap)]  # (prefix, rest of total, parts left, next cap)
+    while stack:
+        prefix, rest, k, top = stack.pop()
+        if k == 1:
+            if 1 <= rest <= top:
+                yield prefix + (rest,)
+        elif k > 1:  # the smallest next part is pushed first, so popped last
+            stack += [
+                (prefix + (first,), rest - first, k - 1, first)
+                for first in range(1, min(top, rest - (k - 1)) + 1)
+            ]
 
 
 def _child_profiles(n: int, v: int):

@@ -344,6 +344,21 @@ def test_full_rule3_cap_bounds_every_weight(monkeypatch):
     assert 10 < kept[3] < 110 and max(kept) == 3
 
 
+def test_full_rule3_cap_refuses_weight_2_before_the_build(monkeypatch):
+    # all C(d, n) cores are basic at weight 2, so a count or an enumeration
+    # whose weight 2 is over the cap builds nothing; C(5, 3) = 10 at cap 10
+    # is built (test_full_rule3_cap_bounds_every_weight)
+    kept, finished = _count_kept(monkeypatch, FULL)
+    message = "basic commutators of weight 2 at (n=3, d=5, w=6) exceed cap 9"
+    for entry in (count_by_enumeration, enumerate_basic):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            entry(3, 5, 6, FULL, cap=9)
+        assert str(exc.value) == message
+    with pytest.raises(EnumerationCapExceeded, match="of weight 2 at"):
+        count_by_enumeration(2, 10**5, 5, FULL)
+    assert kept == {} and not finished
+
+
 def test_full_rule3_counts_never_fall_from_weight_2():
     # so capping every weight refuses no cell that capping the top weight
     # alone accepts: one build per (n, d) up to w = 8, to the default cap

@@ -285,6 +285,25 @@ def test_count_names_the_enumeration_cap(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("method", ["enum-full", "oracle"])
+def test_count_at_a_large_n_prints_zero(capsys, method):
+    # d < n: no brackets, and the weight profiles of 2000 parts are walked
+    # without recursion
+    code, out, err = run(capsys, "count", "--n", "2000", "--d", "3", "--w", "3",
+                         "--method", method)
+    assert (code, out, err) == (0, "0\n", "")
+
+
+def test_enumerate_and_compare_at_a_large_n(capsys):
+    assert run(capsys, "enumerate", "--n", "2000", "--d", "3", "--w", "3") == (0, "", "")
+    code, out, err = run(capsys, "compare", "--n", "2000", "--d", "3", "--w-max", "3")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    cells = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert [c[counting.ENUM_FULL] for c in cells] == ["3", "0", "0"]
+    assert [c[counting.ORACLE] for c in cells] == ["3", "0", "0"]
+
+
 def test_rewrite_budget_exhaustion(capsys):
     code, out, err = run(capsys, "rewrite", "--n", "3", "--budget", "0",
                          "[[[x3,x2,x1],x3,x2],x2,x1]")

@@ -109,6 +109,8 @@ def test_weight3_closed_form_values():
         for d in range(n, 40):
             assert weight3_closed_form(n, d) == _weight3_double_sum(n, d)
     assert weight3_closed_form(2, 100000) == 8333333327500050000
+    # O(1) in d
+    assert weight3_closed_form(2, 10**8) == 8333333333333327500000050000000
     with pytest.raises(ValueError):
         weight3_closed_form(3, 2)
 
@@ -133,11 +135,19 @@ def test_closed_forms_match_j_by_j_beta_sum():
     for n in range(2, 9):
         for d in range(n, 16):
             beta = _beta_sum_by_j(n, d)
+            assert counting._beta_sum(n, d) == beta
             dd = comb(d, n - 1)
             assert weight4_closed_form(n, d) == beta * (comb(dd, 2) + dd)
             for w in range(3, 7):
                 inner = sum(comb(w - 3, i - 2) * comb(dd, w - i) for i in range(2, w))
                 assert weightw_closed_form(n, d, w) == beta * inner
+
+
+def test_beta_sum_is_o_of_n_in_d():
+    assert weight4_closed_form(2, 10**8) == 24999999999999997500000000000000
+    assert count_via_lie(2, 10**8, 5) == 833333349999999916666665000000000000000
+    with pytest.raises(ValueError):
+        weight4_closed_form(3, 2)
 
 
 def test_via_lie_agrees_with_general_form():

@@ -24,6 +24,7 @@ from nlie.terms import (
     parse,
     term_key,
     weight,
+    weight_multisets,
 )
 
 
@@ -201,9 +202,37 @@ def test_canonical_brackets_ids_follow_term_order(cell):
         for i in range(base[v], base[v + 1]):
             assert weight(terms_by_id[i], n) == v
     assert len(bracket) == len(terms_by_id) - d
+    assert list(bracket.values()) == list(range(d, len(terms_by_id)))  # keys in id order
     for ids, i in bracket.items():
         assert terms_by_id[i] == tuple(terms_by_id[c] for c in ids)
         assert bracket[tuple(index[c] for c in terms_by_id[i])] == i
+
+
+def _weight_multisets_by_recursion(total, parts, cap):
+    """The compositions, recursing once per part."""
+    if parts == 1:
+        if 1 <= total <= cap:
+            yield (total,)
+        return
+    for first in range(min(cap, total - (parts - 1)), 0, -1):
+        for rest in _weight_multisets_by_recursion(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_weight_multisets_order_matches_recursion():
+    # relation_rows' row order follows this order
+    for total in range(16):
+        for parts in range(1, 9):
+            for cap in range(16):
+                assert list(weight_multisets(total, parts, cap)) == list(
+                    _weight_multisets_by_recursion(total, parts, cap)
+                ), (total, parts, cap)
+
+
+def test_weight_multisets_take_any_number_of_parts():
+    assert list(weight_multisets(2001, 2000, 2)) == [(2,) + (1,) * 1999]
+    assert list(weight_multisets(2000, 2000, 2)) == [(1,) * 2000]
+    assert list(weight_multisets(2002, 2000, 1)) == []
 
 
 def test_bracket_counts_size_each_weight_of_a_build():
