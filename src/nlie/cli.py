@@ -87,6 +87,12 @@ def cmd_count(args) -> int:
         )
         return 1
     print(text)
+    if value < 0:
+        print(
+            f"note: method {args.method} gives a negative value at (n={args.n}, d={args.d}, "
+            f"w={args.w}), which no count can be",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -182,7 +188,8 @@ def _reference_method(n: int, d: int, values: dict):
 
 def discrepancy_flags(n: int, d: int, values: dict) -> list[str]:
     """Flag strings for one cell: every populated count that disagrees
-    with the reference, and every count exceeding the necklace bound."""
+    with the reference, every count exceeding the necklace bound, and
+    every negative count, which no dimension can be."""
     counts = [
         (tag, values[tag])
         for tag in counting.METHODS
@@ -200,6 +207,7 @@ def discrepancy_flags(n: int, d: int, values: dict) -> list[str]:
         flags += [
             f"{tag}={v} exceeds NECKLACE_BOUND={bound}" for tag, v in counts if v > bound
         ]
+    flags += [f"{tag}={v} is negative" for tag, v in counts if v < 0]
     return flags
 
 

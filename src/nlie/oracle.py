@@ -1,64 +1,43 @@
 """Ground-truth graded dimensions of the free n-Lie algebra.
 
-The weight-w slice is realized as the span of canonical nonzero bracket
-monomials (skew-symmetry is folded into canonicalization) modulo the span
-of all generalized-Jacobi instances landing in the slice.  An instance is
-a context monomial with one hole, filled with the element
+The free n-Lie algebra is F = A/I: A is spanned by the canonical nonzero
+bracket monomials (skew-symmetry is folded into canonicalization), and I
+by the generalized-Jacobi instances, in every context,
 
-    [[m_1,...,m_n], y_2,...,y_n] - sum_i [m_1,...,[m_i, y_2,...,y_n],...,m_n]
+    J(M; Y) = [[m_1,...,m_n], y_2,...,y_n] - sum_i [m_1,...,[m_i, y_2,...,y_n],...,m_n].
 
-for distinct canonical monomials m_1 > ... > m_n and y_2 > ... > y_n
-(instances with a repeated argument vanish modulo skew-symmetry, so the
-distinct, ordered choices span everything).  Instances are generated at
-every hole position, not only the root.
+`_Tower` builds F_1..F_w of a cell one weight at a time, as
+nilpotent-quotient algorithms build a graded Lie algebra (de Graaf, Lie
+Algebras: Theory and Algorithms, 2000).  F_1 is spanned by the
+generators.  The weight-v columns are the canonical brackets of lower
+*standard* ids, the non-pivot columns of their weight's echelon, which
+are a basis of their F_u.  The rows are the root instances J(M; Y) on
+standard m_i and y_j, each inner bracket [M] and [m_i, Y] replaced by its
+normal form.  A fully reduced echelon of the rows gives the standard ids
+of weight v and the normal form of each pivot column: minus the rest of
+its row over its entry.  That suffices: modulo I below weight v, a
+weight-v monomial is a bracket of elements of F_{<v}, a combination of
+columns; an instance in a deeper context lies in that lower part; and J
+is multilinear, and alternating in M and in Y, so its instances on
+standard ids, M and Y strictly descending, span the rest.  At n = 2 only
+y < m_2 < m_1 is generated: after skew-symmetry J(a, b, c) is the cyclic
+sum [[a,b],c] + [[b,c],a] + [[c,a],b], which is alternating.
 
-Every cell (n, d, w) is one `_Cell`, kept in a module-level dict behind
-`_cell`: its one `terms.canonical_brackets` build and the slice index
-(term -> column), with the content blocks that give its rank built on
-first use.  Each entry point sizes the slice against the ceiling first,
-by `terms.bracket_counts` for a cell not yet built and from the index of
-a cached one, so a refused cell is never built, and a cached one is
-still refused under a smaller ceiling.
+Every term of an instance has the same letter content, and permuting the
+letters is an automorphism.  So the top weight w builds only columns and
+rows of sorted (non-increasing) content, and dim F_w sums d! / prod(mult!)
+over its standard ids, mult counting the equal parts of the id's content,
+zeros included.  Everything is exact: a normal form is an integer row over
+a denominator, and a row clears its parts' denominators with their lcm.
+Rows are fed in ascending order of their largest column, where each pivot
+sits, which limits fill-in.
 
-Rows are generated on the integer ids of the cell's build, which compare
-as terms do.  Contexts come from the same build: each is the tuple of
-sibling-id tuples on the path from the hole to the root.  The Jacobi
-element of each (M, Y) is canonicalized once; plugging it into a context
-re-sorts only the brackets on that path, each by inserting one id among
-siblings that are already sorted.  Terms appear only at the API boundary:
-`graded_monomials` lists the slice, and `membership` maps a combination
-of terms onto its columns.
-
-Content blocks.  Every term of an instance has the same letter content
-(the number of occurrences of each generator), so the relations split
-into one block per content, the fine grading of the free Lie algebra
-(Reutenauer, Free Lie Algebras, 1993).  Permuting the letters maps a
-block onto the block of the permuted content, relations onto relations,
-so only one block per partition lam of the commutator length into at
-most d parts is built: the one whose content is lam itself, sorted
-non-increasing.  Its rows come from pools cut to the ids of content
-<= lam, with the contexts of the cell built once and indexed by the
-content of their siblings.  Then
-
-    dim = sum over lam of (|block lam| - rank lam) * d! / prod(mult!),
-
-where mult counts the equal parts of lam, zeros included.  At n = 2 a
-block generates only the instances with y < m_2 < m_1: after
-skew-symmetry J(a, b, c) = [[a,b],c] - [[a,c],b] - [a,[b,c]] is the cyclic
-sum [[a,b],c] + [[b,c],a] + [[c,a],b], which is alternating, so a
-permuted triple gives plus or minus the same element and a triple with a
-repeat gives 0.  For n >= 3 every instance is kept.  `relation_rows`
-uses the same generator with no content budget: every row of the slice,
-in the order generated.
-
-The graded dimension is |monomials| - rank(instances), with rank computed
-by exact integer fraction-free elimination.  No floating point, no modular
-shortcuts.  The echelon pivots on each row's largest column, which limits
-fill-in in the spirit of Markowitz (1957) and of the structured Gaussian
-elimination of LaMacchia and Odlyzko (1990), and updates the row being
-reduced in place; a reduced row is normalized (divided by the gcd of its
-entries, positive at its largest column).  A block's rows are fed in
-ascending order of their largest column, so most rows meet few pivots.
+Each cell (n, d, w) is one `_Cell`, kept in a module-level dict: its one
+`terms.canonical_brackets` build, the slice index (term -> column) and,
+built on first use, its tower.  Each entry point sizes the slice against
+the ceiling first, by `terms.bracket_counts` for a cell not yet built, so
+a refused cell is never built.  `relation_rows` lists every instance of
+the slice, at every hole position: the reference the tower is tested on.
 """
 
 from __future__ import annotations
@@ -68,14 +47,14 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from math import factorial, gcd, lcm
+from itertools import count, product
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from .terms import (
     bracket_counts,
+    bracket_layers,
     canonical_brackets,
-    canonicalize,
     commutator_length,
     distinct_descending,
     weight,
@@ -146,23 +125,17 @@ def graded_monomials(
     return MonomialBasis(n, d, w, list(index), dict(index))
 
 
-def _contexts(n: int, w: int, v: int, pools, content) -> list:
-    """Monomials of weight w with one hole standing for a weight-v
-    subterm, as (sibling content, spine) pairs.  A spine is the strictly
-    descending sibling-id tuples of the brackets on the hole's path, from
-    the hole to the root; the hole is the first child of each.  Sibling
-    ids are drawn from `pools` (weight -> ids), and the sibling content is
-    the packed letter content of all of them (`content`: id -> content)."""
+def _contexts(n: int, w: int, v: int, pools) -> list:
+    """Monomials of weight w with one hole, the first child of each bracket
+    on its path, standing for a weight-v subterm, as spines: the sibling-id
+    tuples on that path from the hole up, each drawn from `pools`."""
     if w == v:
-        return [(0, ())]
+        return [()]
     out = []
     for sub_w in range(v, w):
-        sib_total = w + n - 2 - sub_w  # >= n - 1, as sub_w < w
-        subs = _contexts(n, sub_w, v, pools, content)
-        for sibs in _choices(sib_total, n - 1, pools):
-            c = sum(map(content.__getitem__, sibs))
-            for sub_c, sub in subs:
-                out.append((sub_c + c, sub + (sibs,)))
+        subs = _contexts(n, sub_w, v, pools)
+        for sibs in _choices(w + n - 2 - sub_w, n - 1, pools):  # >= n - 1, as sub_w < w
+            out += [sub + (sibs,) for sub in subs]
     return out
 
 
@@ -180,93 +153,63 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
     return (-coeff if (pos - q) & 1 else coeff), bracket[sibs[:q] + (x,) + sibs[q:]]
 
 
-class _Cell:
-    """All the oracle keeps of one cell: the tables of its one
-    `canonical_brackets` build, which its relation rows are generated
-    from; the slice index, each weight-w term mapped to its column
-    (ascending); and, built on first use, the content blocks that give its
-    rank.
+def _combine(parts) -> tuple:
+    """(scale, {id: coeff}): scale, the lcm of the parts' denominators, times
+    the sum of the parts (den, hits), each the sum of its (coeff, id) hits,
+    None skipped, over den.  No zero is kept."""
+    scale = lcm(*(den for den, _ in parts))
+    out: dict[int, int] = {}
+    for den, hits in parts:
+        f = scale // den
+        for hit in filter(None, hits):
+            out[hit[1]] = out.get(hit[1], 0) + f * hit[0]
+    return scale, {k: c for k, c in out.items() if c}
 
-    A letter content (occurrences of each generator) is packed into one
-    int, `width` bits per letter with letter 1 lowest, so the content of
-    a bracket is the sum of its children's.  The top bit of each field is
-    a guard: a field holds at most the commutator length L < 2**(width-1),
-    so c <= lam letter by letter iff ((lam | guard) - c) & guard == guard,
-    and lam - c is a content only when c <= lam."""
+
+def _instance(bracket: dict, ms: tuple, ys: tuple, form) -> dict:
+    """J(M; Y) = [[M], Y] - sum_i [m_1,..,[m_i, Y],..,m_n], times a
+    denominator, as {id: integer coeff}, for strictly descending ids ms and
+    ys, each inner bracket replaced by form(its id): (den, ids, coeffs)."""
+    den, ids, coeffs = form(bracket[ms])
+    parts = [(den, [_put(bracket, c, 0, k, ys) for k, c in zip(ids, coeffs)])]
+    for i, m in enumerate(ms):
+        inner = _put(bracket, -1, 0, m, ys)
+        if inner is not None:
+            den, ids, coeffs = form(inner[1])
+            rest = ms[:i] + ms[i + 1 :]
+            hits = [_put(bracket, inner[0] * c, i, k, rest) for k, c in zip(ids, coeffs)]
+            parts.append((den, hits))
+    return _combine(parts)[1]
+
+
+def _unit(i: int) -> tuple:
+    """The form of a column that stands for itself."""
+    return 1, (i,), (1,)
+
+
+class _Cell:
+    """One cell: the tables of its `canonical_brackets` build, for
+    `relation_rows`; the slice index, each weight-w term mapped to its
+    column (ascending); and, built on first use, its tower."""
 
     def __init__(self, n: int, d: int, w: int):
         terms, self.base, self.bracket = canonical_brackets(n, d, w)
         self.n, self.d, self.w = n, d, w
-        self.columns = list(range(len(terms) - self.base[w]))  # one int per column, shared
-        self.index = dict(zip(terms[self.base[w] :], self.columns))
-        self.width = commutator_length(n, w).bit_length() + 1
-        self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(d))
-        content = [1 << (self.width * k) for k in range(d)]
-        shared: dict = {}  # one int object per distinct content
-        for ids in self.bracket:  # in id order, children first
-            c = sum(map(content.__getitem__, ids))
-            content.append(shared.setdefault(c, c))
-        self.content = content
+        self.index = dict(zip(terms[self.base[w] :], count()))
         self.pools = {v: range(self.base[v], self.base[v + 1]) for v in range(1, w + 1)}
 
-    def unpack(self, c: int) -> list:
-        mask = (1 << self.width) - 1
-        return [c >> (self.width * k) & mask for k in range(self.d)]
-
-    def rows(self, spines: dict, lam: Optional[int] = None):
-        """Yield the nonzero relation rows, in order, on slice columns (id
-        minus base[w]).  With no content budget (lam None), every row of the
-        slice, spines[v] listing the spines of hole weight v.  With a packed
-        content lam, the rows of that block, drawn from pools cut to ids of
-        content <= lam, spines[v] mapping each sibling content to its
-        spines, and at n = 2 only from the instances with y < m_2 (see the
-        module docstring)."""
-        n, w, bracket, content, guard = self.n, self.w, self.bracket, self.content, self.guard
-        first, columns = self.base[w], self.columns
-        if lam is None:
-            pools = self.pools
-        else:
-            top = lam | guard
-            pools = {
-                v: [i for i in self.pools[v] if (top - content[i]) & guard == guard]
-                for v in range(1, w)
-            }
-        pairwise = lam is not None and n == 2
+    def rows(self):
+        """Yield every nonzero relation row of the slice, in order, on slice
+        columns (id minus base[w])."""
+        n, w, bracket, pools, first = self.n, self.w, self.bracket, self.pools, self.base[self.w]
         for v in range(2, w + 1):
-            ctx = by = spines[v]  # with lam, by sibling content
-            # all (M, Y) with weight([[M], Y]) == v
-            for wb in range(2, v):
-                y_choices = [
-                    (ys, sum(map(content.__getitem__, ys)))
-                    for ys in _choices(v - wb + n - 2, n - 1, pools)
-                ]
+            spines = _contexts(n, w, v, pools)
+            for wb in range(2, v):  # all (M, Y) with weight([[M], Y]) == v
+                y_choices = _choices(v - wb + n - 2, n - 1, pools)
                 for ms in _choices(wb + n - 2, n, pools):
-                    if lam is not None:
-                        cm = sum(map(content.__getitem__, ms))
-                        if (top - cm) & guard != guard:
-                            continue
-                    for ys, cy in y_choices:
-                        if lam is not None:
-                            if pairwise and ys[0] >= ms[1]:
-                                break  # ids ascend in y_choices at n = 2
-                            ctx = by.get(lam - cm - cy)
-                            if ctx is None:
-                                continue
-                        # [[M], Y] - sum_i [m_1,..,[m_i, Y],..,m_n] as {id: coeff}
-                        parts = [_put(bracket, 1, 0, bracket[ms], ys)]
-                        for i, m in enumerate(ms):
-                            inner = _put(bracket, -1, 0, m, ys)
-                            if inner is not None:
-                                rest = ms[:i] + ms[i + 1 :]
-                                parts.append(_put(bracket, inner[0], i, inner[1], rest))
-                        element: dict[int, int] = {}
-                        for part in filter(None, parts):
-                            coeff = element.get(part[1], 0) + part[0]
-                            if coeff:
-                                element[part[1]] = coeff
-                            else:
-                                del element[part[1]]
-                        for spine in ctx:
+                    for ys in y_choices:
+                        element = _instance(bracket, ms, ys, _unit)
+                        for spine in spines:
                             row: dict[int, int] = {}
                             for tid, coeff in element.items():
                                 for sibs in spine:
@@ -275,120 +218,177 @@ class _Cell:
                                         break
                                     coeff, tid = hit
                                 else:
-                                    row[columns[tid - first]] = coeff
+                                    row[tid - first] = coeff
                             if row:
                                 yield row
 
     @cached_property
-    def blocks(self) -> dict:
-        """The cell's relations: a `_Block` per nonempty content block of
-        the slice, keyed by its content lam where lam is sorted (a
-        non-increasing d-tuple).  Built on first use, so once whatever
-        ceilings ask for the cell: callers check their ceiling first, with
-        _slice_size.  A block's rows are fed in ascending order of their
-        largest column; the sort is stable, so a repeated or scaled row
-        follows its first copy and reduces to 0."""
-        n, w = self.n, self.w
-        spines: dict = {}  # v -> sibling content -> spines, once for all the blocks
-        for v in range(2, w + 1):
-            spines[v] = by = {}
-            for c, spine in _contexts(n, w, v, self.pools, self.content):
-                by.setdefault(c, []).append(spine)
-        slice_ids: dict = {}  # packed content -> its slice ids, ascending
-        for i in self.pools[w]:
-            slice_ids.setdefault(self.content[i], []).append(i)
-        blocks = {}
-        for packed, ids in slice_ids.items():
-            lam = self.unpack(packed)
-            if lam == sorted(lam, reverse=True):
-                ech = _Echelon()
-                for row in sorted(self.rows(spines, packed), key=max):
-                    ech.insert(row)
-                blocks[tuple(lam)] = _Block(ids, ech)
-        return blocks
-
-    @property
-    def rank(self) -> int:
-        """The rank of the slice's relations: sum of rank x arrangements."""
-        return sum(b.echelon.rank * _arrangements(lam) for lam, b in self.blocks.items())
+    def tower(self) -> _Tower:
+        """Built once, whatever ceilings ask for the cell: callers check
+        theirs first, with _slice_size."""
+        return _Tower(self.n, self.d, self.w)
 
 
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    cell = _cell(n, d, w)
-    spines = {
-        v: [spine for _, spine in _contexts(n, w, v, cell.pools, cell.content)]
-        for v in range(2, w + 1)
-    }
-    rows = list(cell.rows(spines))
+    rows = list(_cell(n, d, w).rows())
     return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 
+def _normalize(row: dict[int, int]) -> dict[int, int]:
+    """row divided by the gcd of its entries, signed so that the entry at
+    its largest column is positive."""
+    g = gcd(*row.values())
+    if row[max(row)] < 0:
+        g = -g
+    return row if g == 1 else {k: c // g for k, c in row.items()}
+
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], k: int) -> dict[int, int]:
+    """a * row - b * piv, where a and b are piv[k] > 0 and row[k] over their
+    gcd: row with column k cleared, as a new row."""
+    g = gcd(piv[k], row[k])
+    a, b = piv[k] // g, row[k] // g
+    out = dict(row) if a == 1 else {c: a * x for c, x in row.items()}
+    for c, x in piv.items():
+        x = out.get(c, 0) - b * x
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    return out
+
+
 class _Echelon:
-    """Incremental exact integer row reduction.  pivots[col] is a row whose
-    largest column is col, with a positive coefficient there and entries of
-    gcd 1.  Keying pivots on the largest column rather than the smallest
-    keeps fill-in low on relation rows."""
+    """Incremental exact integer row reduction, kept fully reduced.
+    pivots[col] is a row whose largest column is col, positive there, with
+    entries of gcd 1 and no other pivot's column; holders[col] is the set
+    of the pivots whose rows hold the non-pivot column col."""
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
-
-    @staticmethod
-    def _normalize(row: dict[int, int]) -> dict[int, int]:
-        """row divided by the gcd of its entries, signed so that the entry
-        at its largest column is positive."""
-        g = 0
-        for c in row.values():
-            g = gcd(g, c)
-        if row[max(row)] < 0:
-            g = -g
-        return row if g == 1 else {k: c // g for k, c in row.items()}
-
-    def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """row reduced until its largest column has no pivot, normalized;
-        {} when it lies in the span of the pivots."""
-        row = dict(row)
-        pivots = self.pivots
-        while row:
-            lead = max(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                return self._normalize(row)
-            b = row.pop(lead)
-            a = piv[lead]
-            if a > 1:
-                # row := (a / g) * row - (b / g) * piv, g = gcd(a, b)
-                g = gcd(a, b)
-                if g != a:
-                    row = {k: a // g * c for k, c in row.items()}
-                b //= g
-            for k, c in piv.items():
-                if k != lead:
-                    c = row.get(k, 0) - b * c
-                    if c:
-                        row[k] = c
-                    else:
-                        del row[k]
-        return {}
+        self.holders: dict[int, set] = {}
 
     def insert(self, row: dict[int, int]) -> bool:
-        """Reduce and insert; True if the rank grew."""
-        res = self.reduce(row)
-        if not res:
+        """Reduce row; unless it reduces to 0, make it the pivot of its largest
+        column, cleared from the other pivots.  True if the rank grew."""
+        pivots, holders = self.pivots, self.holders
+        for k in [k for k in row if k in pivots]:
+            row = _eliminate(row, pivots[k], k)  # adds only non-pivot columns
+        if not row:
             return False
-        self.pivots[max(res)] = res
+        row = _normalize(row)
+        lead = max(row)
+        for h in holders.pop(lead, ()):
+            old = pivots[h]
+            new = pivots[h] = _normalize(_eliminate(old, row, lead))
+            for k in old.keys() - new.keys() - {lead}:
+                holders[k].discard(h)
+            for k in new.keys() - old.keys():
+                holders.setdefault(k, set()).add(h)
+        pivots[lead] = row
+        for k in row.keys() - {lead}:
+            holders.setdefault(k, set()).add(lead)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+
+class _Counts(dict):
+    """Packed content -> its letter counts if non-increasing, else (), on
+    first lookup.  A content packs `width` bits per letter, letter 1
+    lowest, so a bracket's content is the sum of its children's."""
+
+    def __init__(self, d: int, width: int):
+        self.d, self.width = d, width
+
+    def __missing__(self, c: int) -> tuple:
+        mask = (1 << self.width) - 1
+        lam = [c >> (self.width * k) & mask for k in range(self.d)]
+        self[c] = out = tuple(lam) if lam == sorted(lam, reverse=True) else ()
+        return out
 
 
-class _Block(NamedTuple):
-    ids: list  # the block's slice ids, ascending: id i is column i - base[w]
-    echelon: _Echelon
+class _Tower:
+    """F_1..F_w of one cell (see the module docstring), on the ids of
+    `bracket_layers`: bracket maps child ids to a column's id, content[id]
+    is its packed content, standard[v] lists the standard ids of weight v,
+    and forms[id] is each column's normal form (den, ids, coeffs), the sum
+    of coeffs times standard ids over den."""
+
+    def __init__(self, n: int, d: int, w: int):
+        self.n, self.w = n, w
+        self.counts = _Counts(d, commutator_length(n, w).bit_length())
+        self.content = [1 << (self.counts.width * k) for k in range(d)]
+        self.standard: dict = {1: range(d)}
+        self.bracket: dict = {}
+        self.forms = {i: _unit(i) for i in range(d)}
+        for v, found in enumerate(bracket_layers(n, d, w, self._children), 2):
+            ids = range(len(self.content), len(self.content) + len(found))
+            self.bracket.update(zip(found, ids))
+            self.content += [sum(map(self.content.__getitem__, kids)) for kids in found]
+            ech = _Echelon()
+            for row in sorted(self.rows(v), key=max):
+                ech.insert(row)
+            self.standard[v] = [i for i in ids if i not in ech.pivots]
+            self.forms.update((i, _unit(i)) for i in self.standard[v])
+            for i, piv in ech.pivots.items():  # minus the rest of its row over its entry
+                rest = [k for k in piv if k != i]
+                self.forms[i] = piv[i], tuple(rest), tuple(-piv[k] for k in rest)
+        lams = [self.counts[self.content[i]] for i in self.standard[w]]
+        self.dim = sum(_arrangements(lam) for lam in lams if lam)  # () when not sorted
+
+    def _children(self, ws: tuple, pools, sub):
+        """`bracket_layers`' children source: strictly descending tuples of
+        standard ids, at the top weight only those of sorted content."""
+        picks = distinct_descending(ws, self.standard)
+        if sum(ws) - (self.n - 2) < self.w:
+            return picks
+        return [ids for ids in picks if self.counts[sum(map(self.content.__getitem__, ids))]]
+
+    def rows(self, v: int):
+        """Yield the nonzero rows of weight v: the root instances J(M; Y) on
+        standard ids with weight([[M], Y]) == v, at the top weight only those
+        of sorted content, and at n = 2 only those with y < m_2."""
+        n, content, standard, bracket = self.n, self.content, self.standard, self.bracket
+        counts = self.counts if v == self.w else None
+        for wb in range(2, v):
+            y_choices = [
+                (ys, sum(map(content.__getitem__, ys)))
+                for ys in _choices(v - wb + n - 2, n - 1, standard)
+            ]
+            for ms in _choices(wb + n - 2, n, standard):
+                cm = sum(map(content.__getitem__, ms))
+                for ys, cy in y_choices:
+                    if n == 2 and ys[0] >= ms[1]:
+                        break  # ids ascend in y_choices at n = 2
+                    if counts is None or counts[cm + cy]:
+                        row = _instance(bracket, ms, ys, self.forms.__getitem__)
+                        if row:
+                            yield row
+
+    def normal_form(self, t, letters: dict, memo: dict) -> tuple:
+        """(den, row): term t, generator g read as id letters[g], is row over
+        den, on standard ids.  The longest child form is put into each sorted
+        pick of the others; memo keeps forms under this letter map."""
+        if isinstance(t, int):
+            return 1, {letters[t]: 1}
+        out = memo.get(t)
+        if out is None:
+            kids = [self.normal_form(c, letters, memo) for c in t]
+            parts = []
+            for pick in product(*(row.items() for _, row in kids)):
+                ids = [k for k, _ in pick]
+                if len(set(ids)) == len(ids):  # else the bracket vanishes
+                    flips = sum(a < b for i, a in enumerate(ids) for b in ids[i + 1 :])
+                    f = (-1) ** flips * prod(c for _, c in pick)
+                    den, cols, xs = self.forms[self.bracket[tuple(sorted(ids, reverse=True))]]
+                    parts.append((den, [(f * x, k) for k, x in zip(cols, xs)]))
+            den, row = _combine(parts)
+            den *= prod(den for den, _ in kids)
+            g = gcd(den, *row.values())
+            out = memo[t] = den // g, {k: c // g for k, c in row.items()}
+        return out
 
 
 def _arrangements(lam: tuple) -> int:
@@ -406,7 +406,9 @@ def graded_dimension(
     w: int,
     ceiling: int = DEFAULT_CEILING,
 ) -> int:
-    """dim F^w / F^(w+1) on d generators: |monomials| - rank(relations).
+    """dim F^w / F^(w+1) on d generators: the arrangements of the sorted
+    contents of the tower's standard ids of weight w, summed.  The slice is
+    still sized and listed, for basis_size and rank = basis_size - dim.
 
     If the environment variable NLIE_ORACLE_CACHE names a directory,
     computed cells are stored there as one JSON record per cell: {n, d, w,
@@ -422,9 +424,8 @@ def graded_dimension(
         dim = _read_cell(cache_path, n, d, w)
         if dim is not None:
             return dim
-    rank = _cell(n, d, w).rank
+    dim = _cell(n, d, w).tower.dim
     size = len(graded_monomials(n, d, w, ceiling=ceiling).monomials)
-    dim = size - rank
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
         rec = {
@@ -432,7 +433,7 @@ def graded_dimension(
             "d": d,
             "w": w,
             "basis_size": size,
-            "rank": rank,
+            "rank": size - dim,
             "dim": dim,
         }
         _write_cell(cache_path, rec)
@@ -479,26 +480,25 @@ def _write_cell(path: str, rec: dict) -> None:
             os.unlink(tmp)
 
 
-def _relabel(t, letters: dict):
-    """t with each generator k replaced by letters[k]."""
+def _content(t, counts: list) -> list:
+    """counts, after adding the occurrences of each generator in term t."""
     if isinstance(t, int):
-        return letters[t]
-    return tuple(map(_relabel, t, repeat(letters)))  # one frame per level
+        counts[t - 1] += 1
+    else:
+        for c in t:
+            _content(c, counts)
+    return counts
 
 
 def membership(
     lc: dict, n: int, d: int, ceiling: int = DEFAULT_CEILING
 ) -> bool:
     """Whether the combination lies in the relation span of its graded
-    component.  All terms must share one weight; the empty combination is
-    trivially a member.
-
-    Each content part of the combination is reduced in the echelon of its
-    block, on slice columns.  A part whose content is not sorted first has
-    the letters of its terms relabeled so that it is, each term then
-    canonicalized by `terms.canonicalize`, whose sign scales its
-    coefficient: relabeling is an automorphism of the free algebra, so it
-    maps the relations of one block onto those of the other."""
+    component, that is, whether its normal form is 0.  Its terms must be
+    monomials of one slice; the empty combination is trivially a member.
+    Each content part is taken to its sorted content by relabeling its
+    letters, an automorphism: each term's normal form in the tower reads
+    the letters mapped at its leaves."""
     if not lc:
         return True
     weights = {weight(t, n) for t in lc}
@@ -509,23 +509,20 @@ def membership(
     cell = _cell(n, d, w)
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
-    parts: dict = {}  # packed content -> {term: integer coefficient}
+    parts: dict = {}  # letter content -> {term: integer coefficient}
     for t, c in lc.items():
-        col = cell.index.get(t)
-        if col is None:
+        if t not in cell.index:
             raise ValueError(f"term outside the monomial slice: {t!r}")
         val = int(Fraction(c) * denom)
         if val:
-            parts.setdefault(cell.content[cell.base[w] + col], {})[t] = val
-    for content, part in parts.items():
-        counts = cell.unpack(content)
+            parts.setdefault(tuple(_content(t, [0] * d)), {})[t] = val
+    tower = cell.tower
+    for counts, part in parts.items():
         order = sorted(range(1, d + 1), key=lambda g: -counts[g - 1])  # by falling count
-        block = cell.blocks[tuple(counts[g - 1] for g in order)]
-        letters = {g: k for k, g in enumerate(order, 1)}  # generator order[k - 1] becomes k
-        row = {}
-        for t, val in part.items():
-            s, t = canonicalize(_relabel(t, letters), n)
-            row[cell.index[t]] = s * val
-        if block.echelon.reduce(row):
+        letters = {g: k for k, g in enumerate(order)}  # generator order[k] becomes id k
+        memo: dict = {}
+        forms = [(tower.normal_form(t, letters, memo), val) for t, val in part.items()]
+        sums = [(den, [(val * c, k) for k, c in row.items()]) for (den, row), val in forms]
+        if _combine(sums)[1]:
             return False
     return True

@@ -421,6 +421,27 @@ def test_discrepancy_flag_mechanism_synthetic():
     assert flags == ["EQ14=0 vs WITT=2"]
 
 
+def test_compare_flags_negative_counts(capsys):
+    _, out, _ = run(capsys, "compare", "--n", "3", "--d", "7", "--w-max", "5")
+    rows = {row[2]: row for row in parse_csv(out)[1:]}
+    assert "EQ16=-210 is negative; VIA_LIE=-210 is negative" in rows["3"][-1]
+    assert "EQ15=-2310 is negative; EQ16=-2310 is negative" in rows["4"][-1]
+    assert rows["5"][-1].endswith("EQ16=-17710 is negative; VIA_LIE=-17710 is negative")
+    assert "is negative" not in rows["1"][-1] + rows["2"][-1]
+
+
+@pytest.mark.parametrize("w, value", [(3, "-210"), (4, "-2310")])
+def test_count_notes_a_negative_value_on_stderr(capsys, w, value):
+    code, out, err = run(capsys, "count", "--n", "3", "--d", "7", "--w", str(w), "--method", "eq16")
+    assert (code, out) == (0, value + "\n")
+    assert err == (
+        f"note: method eq16 gives a negative value at (n=3, d=7, w={w}), "
+        "which no count can be\n"
+    )
+    code, out, err = run(capsys, "count", "--n", "3", "--d", "7", "--w", str(w), "--method", "enum-left")
+    assert code == 0 and int(out) > 0 and err == ""
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

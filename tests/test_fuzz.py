@@ -1,14 +1,19 @@
-"""Property tests of the term core on generated terms of arity 2..4."""
+"""Property tests of the term core on generated terms of arity 2..4, and of
+the oracle on small cells against dense Fraction elimination."""
+
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import dense_member, dense_rank, dense_span  # noqa: E402
 from nlie.basis import is_basic  # noqa: E402
-from nlie.oracle import membership  # noqa: E402
+from nlie.oracle import graded_dimension, membership, relation_rows  # noqa: E402
 from nlie.rewrite import collect  # noqa: E402
 from nlie.terms import (  # noqa: E402
+    bracket_counts,
     canonicalize,
     format_term,
     lc_from_term,
@@ -141,3 +146,48 @@ def test_collect_stays_in_the_relation_span_and_ends_in_basics(ndt):
     lc_merge(diff, lc, -1)
     assert membership(diff, n, d)
     assert all(is_basic(u, n) for u in lc)
+
+
+# every cell of arity 2..4 on at most 6 letters, weight at most 8, whose
+# slice has at most 300 monomials
+SMALL_CELLS = [
+    (n, d, w)
+    for n in range(2, 5)
+    for d in range(1, 7)
+    for w in range(1, 9)
+    if bracket_counts(n, d, w)[w] <= 300
+]
+
+
+@fuzz
+@given(st.sampled_from(SMALL_CELLS))
+def test_graded_dimension_is_the_slice_size_minus_the_dense_rank(cell):
+    rm = relation_rows(*cell)
+    size = len(rm.basis.monomials)
+    assert graded_dimension(*cell) == size - dense_rank(rm.rows, size)
+
+
+_SPANS: dict = {}  # cell -> the dense span of its relation rows
+
+
+@fuzz
+@given(st.sampled_from([c for c in SMALL_CELLS if bracket_counts(*c)[c[2]]]), st.data())
+def test_membership_agrees_with_a_dense_span_test(cell, data):
+    # a combination of relation rows, members, plus at times a few
+    # monomials, which may leave the span; fractions throughout
+    n, d, _ = cell
+    rm = relation_rows(*cell)
+    monomials = rm.basis.monomials
+    if cell not in _SPANS:
+        _SPANS[cell] = dense_span(rm.rows, len(monomials))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vec = [Fraction(0)] * len(monomials)
+    rows = data.draw(st.lists(st.sampled_from(rm.rows), max_size=3)) if rm.rows else []
+    for row in rows:
+        f = data.draw(coeff)
+        for j, c in row.items():
+            vec[j] += f * c
+    for j, c in data.draw(st.lists(st.tuples(st.integers(0, len(monomials) - 1), coeff), max_size=2)):
+        vec[j] += c
+    lc = {monomials[j]: c for j, c in enumerate(vec) if c}
+    assert membership(lc, n, d) == dense_member(_SPANS[cell], vec)

@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 import pytest
 
-from conftest import random_term, relabel
+from conftest import dense_member, dense_rank, dense_span, random_term, relabel
 from nlie import oracle
 from nlie.oracle import (
     InstanceCeilingExceeded,
@@ -163,28 +164,6 @@ def test_relation_row_counts_frozen(cell, count):
     assert len(relation_rows(*cell).rows) == count
 
 
-def _dense_rank(rows, ncols):
-    """Rank over Q by textbook Gaussian elimination on dense Fraction rows,
-    pivoting on the leftmost column, with no normalization and no
-    deduplication."""
-    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
-    rank = 0
-    for j in range(ncols):
-        below = [i for i in range(rank, len(m)) if m[i][j]]
-        if not below:
-            continue
-        m[rank], m[below[0]] = m[below[0]], m[rank]
-        p = m[rank]
-        nonzero = [k for k in range(j, ncols) if p[k]]
-        for r in m[rank + 1 :]:
-            if r[j]:
-                f = r[j] / p[j]
-                for k in nonzero:
-                    r[k] -= f * p[k]
-        rank += 1
-    return rank
-
-
 def _content(t, d):
     """The letter content of a term: occurrences of generators 1..d."""
     counts = [0] * d
@@ -214,77 +193,107 @@ def _rows_by_content(cell):
     return {c: (columns[c], rows[c]) for c in columns}
 
 
+def _top_contents(tower) -> Counter:
+    """The sorted contents of the tower's standard ids of the top weight,
+    with multiplicity."""
+    return Counter(tower.counts[tower.content[i]] for i in tower.standard[tower.w])
+
+
 @pytest.mark.parametrize("cell", [(2, 2, 6), (2, 3, 5), (3, 3, 5), (3, 4, 4), (4, 5, 4)])
 def test_echelon_rank_matches_dense_fraction_rank(cell):
+    n, d, w = cell
     rm = relation_rows(*cell)
-    space = oracle._cell(*cell)
-    total = sum(
-        block.echelon.rank * oracle._arrangements(lam) for lam, block in space.blocks.items()
-    )
-    assert total == space.rank == _dense_rank(rm.rows, len(rm.basis.monomials))
-    # each content's rows have the dense rank of the block of its sorted
-    # content, and that block has the content's monomials
+    tower = oracle._cell(*cell).tower
+    assert tower.dim == len(rm.basis.monomials) - dense_rank(rm.rows, len(rm.basis.monomials))
+    # the lower weights keep every content: their standard ids are a basis
+    assert [len(tower.standard[v]) for v in range(1, w)] == [
+        graded_dimension(n, d, v) for v in range(1, w)
+    ]
+    # each content's rows leave as many dimensions as the tower has
+    # standard ids of its sorted content
+    top = _top_contents(tower)
+    assert all(top) and top
     for content, (columns, rows) in _rows_by_content(cell).items():
-        block = space.blocks[tuple(sorted(content, reverse=True))]
-        assert len(block.ids) == len(columns)
         local = [{columns.index(col): c for col, c in row.items()} for row in rows]
-        assert block.echelon.rank == _dense_rank(local, len(columns))
+        lam = tuple(sorted(content, reverse=True))
+        assert top[lam] == len(columns) - dense_rank(local, len(columns))
+
+
+def _echelons(monkeypatch) -> list:
+    """The list that every `_Echelon` fed from now on is appended to, with
+    the rows it is fed, as (echelon, rows)."""
+    fed = []
+    insert = oracle._Echelon.insert
+
+    def recorded(self, row):
+        if not fed or fed[-1][0] is not self:
+            fed.append((self, []))
+        fed[-1][1].append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(oracle._Echelon, "insert", recorded)
+    return fed
 
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6), (3, 3, 6), (4, 5, 4)])
-def test_echelon_pivots_sit_on_their_largest_column(cell):
-    space = oracle._cell(*cell)
-    first = space.base[cell[2]]
-    assert any(block.echelon.pivots for block in space.blocks.values())
-    for block in space.blocks.values():
-        # every column of a pivot is a slice column of the block's content
-        columns = {i - first for i in block.ids}
-        for col, row in block.echelon.pivots.items():
-            assert col == max(row) and row.keys() <= columns
-            assert row[col] > 0
+def test_echelon_pivots_sit_on_their_largest_column(cell, monkeypatch):
+    # a fully reduced echelon: each pivot holds no other pivot's column,
+    # and holders indexes exactly the pivots that hold each column
+    fed = _echelons(monkeypatch)
+    tower = oracle._Tower(*cell)  # a fresh build, outside the cache
+    assert any(ech.pivots for ech, _ in fed)
+    for ech, _ in fed:
+        for col, row in ech.pivots.items():
+            assert col == max(row) and row[col] > 0
             assert gcd(*row.values()) == 1
+            assert row.keys() & ech.pivots.keys() == {col}
+            # the column's form is minus the rest of the row over row[col]
+            den, ids, coeffs = tower.forms[col]
+            assert {col: den, **{k: -c for k, c in zip(ids, coeffs)}} == row
+        held = {}
+        for col, row in ech.pivots.items():
+            for k in row.keys() - {col}:
+                held.setdefault(k, set()).add(col)
+        assert {k: h for k, h in ech.holders.items() if h} == held
+    # every other column stands for itself
+    pivots = set().union(*(ech.pivots for ech, _ in fed))
+    assert all(
+        tower.forms[i] == (1, (i,), (1,)) for i in range(len(tower.content)) if i not in pivots
+    )
 
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (3, 3, 6)])
 def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
-    rows = relation_rows(*cell).rows
+    rm = relation_rows(*cell)
     ech = oracle._Echelon()
-    for row in rows:
+    for row in rm.rows:
         ech.insert(row)
         assert not ech.insert(row)
-    cached = oracle._cell(*cell)
-    rank = cached.rank
-    assert ech.rank == rank
+    cached = oracle._cell(*cell).tower
+    assert len(ech.pivots) == len(rm.basis.monomials) - cached.dim
 
-    # every block row generated again, negated and doubled: the build
+    # every tower row generated again, negated and doubled: each weight
     # feeds every row, copies included, in ascending order of the largest
-    # column, and each block keeps the rank and pivots of the cached build
-    generated = {}
-    fed = {}
-    block_rows = oracle._Cell.rows
-    insert = oracle._Echelon.insert
+    # column, and the tower keeps the standard ids and forms of the cached
+    # build
+    generated = []
+    tower_rows = oracle._Tower.rows
 
-    def doubled(cell, spines, lam):
-        for row in block_rows(cell, spines, lam):
-            generated.setdefault(lam, []).append(row)
+    def doubled(tower, v):
+        for row in tower_rows(tower, v):
+            generated.append(row)
             yield row
             yield {k: -2 * c for k, c in row.items()}
 
-    def counted(self, row):
-        fed.setdefault(id(self), []).append(row)
-        return insert(self, row)
-
-    monkeypatch.setattr(oracle._Cell, "rows", doubled)
-    monkeypatch.setattr(oracle._Echelon, "insert", counted)
-    space = oracle._Cell(*cell)  # a fresh build, outside the cache
-    assert space.rank == rank
-    assert space.blocks.keys() == cached.blocks.keys()
-    for lam, block in space.blocks.items():
-        assert block.echelon.rank == cached.blocks[lam].echelon.rank
-        assert block.echelon.pivots == cached.blocks[lam].echelon.pivots
-        leads = [max(row) for row in fed.get(id(block.echelon), [])]
+    monkeypatch.setattr(oracle._Tower, "rows", doubled)
+    fed = _echelons(monkeypatch)
+    tower = oracle._Tower(*cell)  # a fresh build, outside the cache
+    assert tower.dim == cached.dim
+    assert tower.standard == cached.standard and tower.forms == cached.forms
+    for _, rows in fed:
+        leads = [max(row) for row in rows]
         assert leads == sorted(leads)
-    assert sum(map(len, fed.values())) == 2 * sum(map(len, generated.values())) > 0
+    assert sum(len(rows) for _, rows in fed) == 2 * len(generated) > 0
 
 
 # (n, d, w): (dim, monomials, rows, rank), as frozen for the benchmark ladder
@@ -302,12 +311,13 @@ LADDER = {
 
 @pytest.mark.parametrize("cell", sorted(LADDER))
 def test_blocks_sum_to_the_ladder_cells(cell):
+    # the standard ids of the top weight, each counted once per
+    # arrangement of its sorted content, give the ladder's dimension
     dim, monomials, _, rank = LADDER[cell]
-    blocks = oracle._cell(*cell).blocks
-    assert all(lam == tuple(sorted(lam, reverse=True)) for lam in blocks)
-    arrangements = {lam: oracle._arrangements(lam) for lam in blocks}
-    assert sum(len(b.ids) * arrangements[lam] for lam, b in blocks.items()) == monomials
-    assert sum(b.echelon.rank * arrangements[lam] for lam, b in blocks.items()) == rank
+    top = _top_contents(oracle._cell(*cell).tower)
+    assert all(lam == tuple(sorted(lam, reverse=True)) for lam in top)
+    assert sum(k * oracle._arrangements(lam) for lam, k in top.items()) == dim
+    assert len(graded_monomials(*cell).monomials) - rank == dim
     assert graded_dimension(*cell) == dim
 
 
@@ -344,67 +354,41 @@ def _multigraded_witt(k):
 
 @pytest.mark.parametrize("cell", [(2, 2, 10), (2, 3, 7), (2, 4, 6)])
 def test_n2_blocks_follow_the_multigraded_witt_formula(cell):
-    blocks = oracle._cell(*cell).blocks
-    assert blocks
-    for lam, block in blocks.items():
-        assert len(block.ids) - block.echelon.rank == _multigraded_witt(lam)
+    # every sorted content of the top weight, those with no standard id
+    # included
+    _, d, w = cell
+    top = _top_contents(oracle._cell(*cell).tower)
+    assert top
+    for k in range(1, d + 1):
+        for parts in weight_multisets(w, k, w):
+            lam = parts + (0,) * (d - k)
+            assert top.pop(lam, 0) == _multigraded_witt(lam)
+    assert not top
 
 
 @pytest.mark.parametrize("cell", [(2, 2, 8), (2, 3, 6)])
-def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell, monkeypatch):
-    # only y < m_2 < m_1 is generated at n = 2; the rows it gives are the
-    # distinct normalized rows of all instances of the block
-    norm = oracle._Echelon._normalize
-    by_content = _rows_by_content(cell)
-    generated = {}  # block content -> the block's rows, as generated
-    block_rows = oracle._Cell.rows
-
-    def recorded(built, spines, lam):
-        for row in block_rows(built, spines, lam):
-            generated.setdefault(tuple(built.unpack(lam)), []).append(norm(row))
-            yield row
-
-    monkeypatch.setattr(oracle._Cell, "rows", recorded)
-    built = oracle._Cell(*cell)  # a fresh build, outside the cache
-    restricted_rows = all_rows = 0
-    for lam, block in built.blocks.items():
-        _, rows = by_content[lam]  # on slice columns, as the block's rows
-        every = {frozenset(norm(row).items()) for row in rows}
-        restricted = generated.get(lam, [])
-        assert {frozenset(row.items()) for row in restricted} == every
-        restricted_rows += len(restricted)
-        all_rows += len(rows)
-    assert restricted_rows < all_rows / 2
-
-
-def _dense_span(rows, ncols):
-    """The reduced row echelon form over Q of the rows, by textbook
-    Gauss-Jordan elimination on dense Fraction rows: (pivot column, row)
-    pairs, each row 1 at its pivot and 0 at every other pivot."""
-    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
-    basis = []
-    for j in range(ncols):
-        hit = next((r for r in m if r[j]), None)
-        if hit is None:
-            continue
-        m.remove(hit)
-        hit = [x / hit[j] for x in hit]
-        for r in m + [b for _, b in basis]:
-            if r[j]:
-                f = r[j]
-                for k in range(ncols):
-                    r[k] -= f * hit[k]
-        basis.append((j, hit))
-    return basis
-
-
-def _dense_member(basis, vec):
-    vec = list(vec)
-    for j, row in basis:
-        if vec[j]:
-            f = vec[j]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return not any(vec)
+def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell):
+    # only y < m_2 < m_1 is generated at n = 2; at every weight the rows it
+    # gives are the distinct normalized rows of all root instances on
+    # standard ids, and fewer than half of them
+    _, _, w = cell
+    tower = oracle._cell(*cell).tower
+    form = tower.forms.__getitem__
+    restricted = every = 0
+    for v in range(3, w + 1):
+        rows = []
+        for wb in range(2, v):
+            for ms in oracle._choices(wb, 2, tower.standard):
+                for ys in oracle._choices(v - wb, 1, tower.standard):
+                    if v < w or tower.counts[sum(tower.content[i] for i in ms + ys)]:
+                        rows.append(oracle._instance(tower.bracket, ms, ys, form))
+        rows = [row for row in rows if row]
+        cut = list(tower.rows(v))
+        normalized = {frozenset(oracle._normalize(row).items()) for row in cut}
+        assert normalized == {frozenset(oracle._normalize(row).items()) for row in rows}
+        restricted += len(cut)
+        every += len(rows)
+    assert restricted < every / 2
 
 
 @pytest.mark.parametrize("cell", [(2, 3, 5), (3, 3, 4)])
@@ -413,14 +397,14 @@ def test_membership_agrees_with_a_dense_reference(cell):
     rm = relation_rows(*cell)
     monomials = rm.basis.monomials
     ncols = len(monomials)
-    basis = _dense_span(rm.rows, ncols)
+    basis = dense_span(rm.rows, ncols)
     assert ncols - len(basis) == graded_dimension(*cell)
     contents = {_content(t, d) for t in monomials}
     assert any(c != tuple(sorted(c, reverse=True)) for c in contents)
 
     def check(vec):
         lc = {monomials[j]: x for j, x in enumerate(vec) if x}
-        assert membership(lc, n, d) == _dense_member(basis, vec)
+        assert membership(lc, n, d) == dense_member(basis, vec)
 
     unit = [[Fraction(int(j == i)) for j in range(ncols)] for i in range(ncols)]
     for vec in unit:
@@ -469,6 +453,8 @@ def test_membership_mixed_weight_rejected():
         membership({(2, 1): Fraction(1), 1: Fraction(1)}, 2, 2)
     with pytest.raises(ValueError, match="outside the monomial slice"):
         membership({(3, 1): Fraction(1)}, 2, 2)  # x3 is not a letter at d=2
+    with pytest.raises(ValueError, match="outside the monomial slice"):
+        membership({(1, 2): 1}, 2, 2)  # not canonical: [x2,x1] is
 
 
 def test_membership_empty_is_trivial():
@@ -537,7 +523,8 @@ def test_cold_cell_builds_brackets_once(monkeypatch):
     # their contexts and the monomial list
     builds = _counted_builds(monkeypatch)
     assert graded_dimension(2, 2, 10) == 99
-    assert len(graded_monomials(2, 2, 10).monomials) == 99 + oracle._cell(2, 2, 10).rank
+    assert oracle._cell(2, 2, 10).tower.dim == 99
+    assert len(graded_monomials(2, 2, 10).monomials) == LADDER[2, 2, 10][1]
     assert builds == [(2, 2, 10)]
     # and so do a cold membership and relation_rows
     oracle._CELLS.clear()
@@ -561,6 +548,23 @@ def test_cold_cell_builds_brackets_once(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_brackets", never)
     monkeypatch.setattr(oracle, "bracket_counts", never)
     assert membership({t: Fraction(1)}, 3, 4) is False
+
+
+def test_cold_oracle_generates_no_whole_slice_rows(monkeypatch):
+    # only relation_rows generates the rows of the whole slice
+    def never(cell):
+        raise AssertionError("generated the rows of the whole slice")
+
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(oracle, "_CELLS", {})
+    monkeypatch.setattr(oracle._Cell, "rows", never)
+    assert graded_dimension(3, 4, 5) == 380
+    t = graded_monomials(2, 3, 6).monomials[-1]
+    assert membership({t: Fraction(1)}, 2, 3) is False
+    jacobi = {((3, 2), 1): 1, ((2, 1), 3): 1, ((3, 1), 2): -1}  # the cyclic sum
+    assert membership(jacobi, 2, 3) is True
+    with pytest.raises(AssertionError, match="whole slice"):
+        relation_rows(2, 2, 4)
 
 
 def test_refused_cell_is_never_built(monkeypatch):
