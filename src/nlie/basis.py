@@ -205,6 +205,37 @@ def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     return bracket_layers(n, d, w, children)
 
 
+def iter_basic(
+    n: int,
+    d: int,
+    w: int,
+    mode: EnumerationMode = EnumerationMode.FULL_RULE3,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    text: bool = False,
+):
+    """An iterator over what `enumerate_basic` lists.  The whole id build
+    runs, and any cap is refused, before this returns; the weights below
+    w are made and kept as terms or texts (each made once from its
+    children's), and weight w is made one item at a time as it is read."""
+    count = _closed_count(n, d, w, mode, cap)
+    if count is not None and count > cap:
+        raise EnumerationCapExceeded(
+            f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
+        )
+    out = [f"x{k}" for k in range(1, d + 1)] if text else list(range(1, d + 1))
+    layers = list(_basics(n, d, w, mode, cap))  # the whole id build
+    if not layers:  # w == 1: the generators
+        return iter(out)
+    get = out.__getitem__  # out[i]: the term or text of id i
+
+    def items(found):
+        return (f"[{','.join(map(get, i))}]" if text else tuple(map(get, i)) for i in found)
+
+    for found in layers[:-1]:
+        out += items(found)
+    return items(layers[-1])
+
+
 def enumerate_basic(
     n: int,
     d: int,
@@ -217,17 +248,7 @@ def enumerate_basic(
     term order: their terms, or with `text` their `format_term` texts
     (each made once from its children's).  A closed count above `cap` is
     refused before any build."""
-    count = _closed_count(n, d, w, mode, cap)
-    if count is not None and count > cap:
-        raise EnumerationCapExceeded(
-            f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
-        )
-    out = [f"x{k}" for k in range(1, d + 1)] if text else list(range(1, d + 1))
-    get, start = out.__getitem__, 0  # out[i]: the term or text of id i
-    for found in _basics(n, d, w, mode, cap):
-        start = len(out)
-        out += [f"[{','.join(map(get, i))}]" if text else tuple(map(get, i)) for i in found]
-    return out[start:]
+    return list(iter_basic(n, d, w, mode, cap, text))
 
 
 def count_by_enumeration(

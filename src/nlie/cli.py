@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import islice
 
-from . import basis, counting, rewrite, terms
+from . import counting
 
 DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 
@@ -24,22 +25,30 @@ ENUMERATE_BLOCK_LINES = 1024
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
 
-# enumeration modes by their count-method tag, and by their `enumerate
-# --mode` name: the tag without its ENUM_ prefix
-_ENUM_MODES = {
-    counting.ENUM_FULL: basis.EnumerationMode.FULL_RULE3,
-    counting.ENUM_LEFT: basis.EnumerationMode.LEFT_NORMED,
-}
+# the enumeration count-method tags, by their `enumerate --mode` name:
+# the tag without its ENUM_ prefix
 _MODE_NAMES = {
-    tag.removeprefix("ENUM_").lower(): mode for tag, mode in _ENUM_MODES.items()
+    tag.removeprefix("ENUM_").lower(): tag for tag in (counting.ENUM_FULL, counting.ENUM_LEFT)
 }
+
+
+def _enum_mode(tag: str):
+    """The `basis.EnumerationMode` of an enumeration count-method tag.
+    Each command imports only the modules it runs, so only a command that
+    enumerates imports `nlie.basis`."""
+    from . import basis
+
+    return {
+        counting.ENUM_FULL: basis.EnumerationMode.FULL_RULE3,
+        counting.ENUM_LEFT: basis.EnumerationMode.LEFT_NORMED,
+    }[tag]
 
 
 def _bounds() -> dict:
     """The bounds that can stop a method, by the exception they raise.
     An except clause calls this only once something is raised, so a
     command that never asks the oracle never imports `nlie.oracle`."""
-    from . import oracle
+    from . import basis, oracle
 
     return {
         basis.EnumerationCapExceeded: "enumeration cap",
@@ -50,8 +59,10 @@ def _bounds() -> dict:
 def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
     """Value of one method on one cell, or None when it does not apply.
     Raises one of the `_bounds()` exceptions when a bound stops it."""
-    if tag in _ENUM_MODES:
-        return basis.count_by_enumeration(n, d, w, _ENUM_MODES[tag])
+    if tag in _MODE_NAMES.values():
+        from . import basis
+
+        return basis.count_by_enumeration(n, d, w, _enum_mode(tag))
     if tag == counting.ORACLE:
         from . import oracle
 
@@ -97,8 +108,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import basis, terms
+
+    mode = _enum_mode(_MODE_NAMES[args.mode])
     try:
-        lines = basis.enumerate_basic(args.n, args.d, args.w, _MODE_NAMES[args.mode], text=True)
+        lines = basis.iter_basic(args.n, args.d, args.w, mode, text=True)
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -106,13 +120,15 @@ def cmd_enumerate(args) -> int:
         import json
 
         rec = {"weight": args.w, "length": terms.commutator_length(args.n, args.w)}
-        lines = [json.dumps({"term": t, **rec}) for t in lines]
-    for i in range(0, len(lines), ENUMERATE_BLOCK_LINES):
-        sys.stdout.write("\n".join(lines[i : i + ENUMERATE_BLOCK_LINES]) + "\n")
+        lines = (json.dumps({"term": t, **rec}) for t in lines)
+    while block := list(islice(lines, ENUMERATE_BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
     return 0
 
 
 def cmd_rewrite(args) -> int:
+    from . import rewrite, terms
+
     try:
         t = terms.parse(args.expr, args.n)
     except ValueError as exc:
@@ -122,7 +138,8 @@ def cmd_rewrite(args) -> int:
         print("parse error: term nested too deeply", file=sys.stderr)
         return 1
     try:
-        lc, trace = rewrite.collect(t, args.n, cap=args.budget)
+        budget = rewrite.DEFAULT_STEP_BUDGET if args.budget is None else args.budget
+        lc, trace = rewrite.collect(t, args.n, cap=budget)
         text = terms.lc_format(lc, args.n)
     except RecursionError:
         print("error: term nested too deeply to collect", file=sys.stderr)
@@ -135,6 +152,8 @@ def cmd_rewrite(args) -> int:
 
 
 def _table2_rows():
+    from . import terms
+
     yield ["n"] + [str(w) for w in range(1, 9)]
     for n in range(2, 9):
         yield [str(n)] + [str(terms.commutator_length(n, w)) for w in range(1, 9)]
@@ -283,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rewrite", help="collect a bracket expression into basic form")
     r.add_argument("--n", type=_int_at_least(2), required=True)
-    r.add_argument("--budget", type=_int_at_least(0), default=rewrite.DEFAULT_STEP_BUDGET)
+    # None stands for rewrite.DEFAULT_STEP_BUDGET, read only when rewriting
+    r.add_argument("--budget", type=_int_at_least(0))
     r.add_argument("expr")
     r.set_defaults(func=cmd_rewrite)
 

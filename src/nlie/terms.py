@@ -266,6 +266,10 @@ def bracket_layers(n: int, d: int, w: int, children=distinct_descending):
     weight, the list of their strictly descending child-id tuples, sorted
     by child ids read right to left (the term order on equal weights).
     Generator k has id k-1; each list takes the next ids in its order.
+    A weight is ordered by n stable sorts of its list in place, on child
+    0, then child 1, and last on child n-1, so child n-1 leads and each
+    earlier child breaks the ties left by the later ones; no key tuple is
+    made per bracket.
 
     Weight v keeps what children(ws, pools, sub) yields for each child
     weight profile ws: strictly descending tuples, each once, child j from
@@ -279,7 +283,8 @@ def bracket_layers(n: int, d: int, w: int, children=distinct_descending):
         found = []
         for ws in _child_profiles(n, v):
             found += children(ws, pools, sub)
-        found.sort(key=itemgetter(slice(None, None, -1)))
+        for j in range(n):
+            found.sort(key=itemgetter(j))
         pools[v] = range(len(kids), len(kids) + len(found))
         kids += found
         yield found

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,38 @@ def test_enumerate_writes_in_blocks(monkeypatch, fmt, cell, count):
     assert out.writes <= -(-count // cli.ENUMERATE_BLOCK_LINES) + 1
 
 
+class ByteCounter:
+    """Stands in for stdout and keeps only the number of bytes written."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+
+def test_enumerate_holds_less_than_its_output(monkeypatch):
+    # the top weight is written as it is made: only the lower weights'
+    # texts and the top weight's id tuples are held, not its 4.2 MB of text
+    out = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert cli.main(["enumerate", "--n", "4", "--d", "6", "--w", "5"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.bytes == 4_160_017
+    assert peak <= 14_000_000
+
+
+def test_enumerate_refuses_the_cap_before_any_output(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--d", "9", "--w", "7")
+    assert (code, out) == (1, "")
+    assert err == "basic commutators of weight 5 at (n=3, d=9, w=7) exceed cap 200000\n"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
 def test_enumerate_streams_to_a_reader_that_stops_early(monkeypatch, unbuffered):
     if unbuffered:
@@ -196,6 +229,29 @@ def child_output(code):
 
 
 LOADED = "print(sorted(m for m in sys.modules if m.startswith('nlie.')))"
+
+
+def loaded_after_main(*argv):
+    """The nlie modules a fresh interpreter has loaded once `cli.main`
+    has run `argv`, its stdout discarded."""
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from nlie import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({list(argv)!r}) == 0
+        {LOADED}
+    """)
+    return child_output(code)
+
+
+def test_count_loads_neither_basis_nor_rewrite():
+    loaded = loaded_after_main("count", "--n", "3", "--d", "4", "--w", "3", "--method", "eq14")
+    assert loaded == "['nlie.cli', 'nlie.counting', 'nlie.terms']\n"
+
+
+def test_enumerate_loads_neither_rewrite_nor_the_oracle():
+    loaded = loaded_after_main("enumerate", "--n", "3", "--d", "4", "--w", "4")
+    assert loaded == "['nlie.basis', 'nlie.cli', 'nlie.counting', 'nlie.terms']\n"
 
 
 def test_import_nlie_loads_no_submodule():
