@@ -116,11 +116,9 @@ def cmd_enumerate(args) -> int:
     except basis.EnumerationCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    if args.format == "json":
-        import json
-
-        rec = {"weight": args.w, "length": terms.commutator_length(args.n, args.w)}
-        lines = (json.dumps({"term": t, **rec}) for t in lines)
+    if args.format == "json":  # texts of [ ] , x and digits, which JSON never escapes
+        length = terms.commutator_length(args.n, args.w)
+        lines = (f'{{"term": "{t}", "weight": {args.w}, "length": {length}}}' for t in lines)
     while block := list(islice(lines, ENUMERATE_BLOCK_LINES)):
         sys.stdout.write("\n".join(block) + "\n")
     return 0

@@ -32,12 +32,14 @@ a denominator, and a row clears its parts' denominators with their lcm.
 Rows are fed in ascending order of their largest column, where each pivot
 sits, which limits fill-in.
 
-Each cell (n, d, w) is one `_Cell`, kept in a module-level dict: its one
-`terms.canonical_brackets` build, the slice index (term -> column) and,
-built on first use, its tower.  Each entry point sizes the slice against
-the ceiling first, by `terms.bracket_counts` for a cell not yet built, so
-a refused cell is never built.  `relation_rows` lists every instance of
-the slice, at every hole position: the reference the tower is tested on.
+The tower is the only state the oracle keeps: one per cell (n, d, w),
+built on first use by `graded_dimension` or `membership`.  Each entry
+point sizes the slice against the ceiling first, by
+`terms.bracket_counts`, so a refused cell is never built.
+`graded_monomials` and `relation_rows` build the whole slice from
+`terms.canonical_brackets` on every call and keep nothing;
+`relation_rows` lists every instance of the slice, at every hole
+position: the reference the tower is tested on.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import os
 import warnings
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from itertools import count, product
 from math import factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
@@ -55,8 +57,10 @@ from .terms import (
     bracket_counts,
     bracket_layers,
     canonical_brackets,
+    check_term,
     commutator_length,
     distinct_descending,
+    is_canonical,
     weight,
     weight_multisets,
 )
@@ -91,25 +95,13 @@ def _choices(total: int, parts: int, pools) -> list:
     return out
 
 
-_CELLS: dict = {}  # (n, d, w) -> its _Cell, for every cell built
-
-
-def _cell(n: int, d: int, w: int) -> _Cell:
-    """The cell's `_Cell`, built on first use and kept."""
-    cell = _CELLS.get((n, d, w))
-    if cell is None:
-        cell = _CELLS[n, d, w] = _Cell(n, d, w)
-    return cell
-
-
 def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
-    """The number of weight-w monomials, from the index of a cached cell,
-    else counted without a build.  Raises ValueError on a bad instance and
-    InstanceCeilingExceeded when the size is above `ceiling`."""
+    """The number of weight-w monomials, counted without a build.  Raises
+    ValueError on a bad instance and InstanceCeilingExceeded when the size
+    is above `ceiling`."""
     if n < 2 or d < 1 or w < 1:
         raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
-    cell = _CELLS.get((n, d, w))
-    size = bracket_counts(n, d, w)[w] if cell is None else len(cell.index)
+    size = bracket_counts(n, d, w)[w]
     if size > ceiling:
         raise InstanceCeilingExceeded(
             f"{size} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
@@ -121,8 +113,9 @@ def graded_monomials(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> MonomialBasis:
     _slice_size(n, d, w, ceiling)
-    index = _cell(n, d, w).index
-    return MonomialBasis(n, d, w, list(index), dict(index))
+    monomials, base = canonical_brackets(n, d, w)[:2]
+    del monomials[: base[w]]  # the lower weights
+    return MonomialBasis(n, d, w, monomials, dict(zip(monomials, count())))
 
 
 def _contexts(n: int, w: int, v: int, pools) -> list:
@@ -187,53 +180,38 @@ def _unit(i: int) -> tuple:
     return 1, (i,), (1,)
 
 
-class _Cell:
-    """One cell: the tables of its `canonical_brackets` build, for
-    `relation_rows`; the slice index, each weight-w term mapped to its
-    column (ascending); and, built on first use, its tower."""
-
-    def __init__(self, n: int, d: int, w: int):
-        terms, self.base, self.bracket = canonical_brackets(n, d, w)
-        self.n, self.d, self.w = n, d, w
-        self.index = dict(zip(terms[self.base[w] :], count()))
-        self.pools = {v: range(self.base[v], self.base[v + 1]) for v in range(1, w + 1)}
-
-    def rows(self):
-        """Yield every nonzero relation row of the slice, in order, on slice
-        columns (id minus base[w])."""
-        n, w, bracket, pools, first = self.n, self.w, self.bracket, self.pools, self.base[self.w]
-        for v in range(2, w + 1):
-            spines = _contexts(n, w, v, pools)
-            for wb in range(2, v):  # all (M, Y) with weight([[M], Y]) == v
-                y_choices = _choices(v - wb + n - 2, n - 1, pools)
-                for ms in _choices(wb + n - 2, n, pools):
-                    for ys in y_choices:
-                        element = _instance(bracket, ms, ys, _unit)
-                        for spine in spines:
-                            row: dict[int, int] = {}
-                            for tid, coeff in element.items():
-                                for sibs in spine:
-                                    hit = _put(bracket, coeff, 0, tid, sibs)
-                                    if hit is None:
-                                        break
-                                    coeff, tid = hit
-                                else:
-                                    row[tid - first] = coeff
-                            if row:
-                                yield row
-
-    @cached_property
-    def tower(self) -> _Tower:
-        """Built once, whatever ceilings ask for the cell: callers check
-        theirs first, with _slice_size."""
-        return _Tower(self.n, self.d, self.w)
+def _slice_rows(n: int, w: int, base: list, bracket: dict):
+    """Yield every nonzero relation row of the weight-w slice of a
+    `canonical_brackets` build (base, bracket), in order, on slice columns
+    (id minus base[w])."""
+    pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
+    first = base[w]
+    for v in range(2, w + 1):
+        spines = _contexts(n, w, v, pools)
+        for wb in range(2, v):  # all (M, Y) with weight([[M], Y]) == v
+            y_choices = _choices(v - wb + n - 2, n - 1, pools)
+            for ms in _choices(wb + n - 2, n, pools):
+                for ys in y_choices:
+                    element = _instance(bracket, ms, ys, _unit)
+                    for spine in spines:
+                        row: dict[int, int] = {}
+                        for tid, coeff in element.items():
+                            for sibs in spine:
+                                hit = _put(bracket, coeff, 0, tid, sibs)
+                                if hit is None:
+                                    break
+                                coeff, tid = hit
+                            else:
+                                row[tid - first] = coeff
+                        if row:
+                            yield row
 
 
 def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    rows = list(_cell(n, d, w).rows())
+    rows = list(_slice_rows(n, w, *canonical_brackets(n, d, w)[1:]))
     return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 
@@ -391,6 +369,11 @@ class _Tower:
         return out
 
 
+# (n, d, w) -> its tower, built once whatever ceilings ask for the cell:
+# callers check theirs first, with _slice_size
+_tower = cache(_Tower)
+
+
 def _arrangements(lam: tuple) -> int:
     """The number of distinct contents that permute the letters of lam
     (zeros included): d! / prod(mult!)."""
@@ -407,8 +390,9 @@ def graded_dimension(
     ceiling: int = DEFAULT_CEILING,
 ) -> int:
     """dim F^w / F^(w+1) on d generators: the arrangements of the sorted
-    contents of the tower's standard ids of weight w, summed.  The slice is
-    still sized and listed, for basis_size and rank = basis_size - dim.
+    contents of the tower's standard ids of weight w, summed.  The tower is
+    kept; the slice is listed first, for basis_size and rank = basis_size -
+    dim, and freed before the tower is built.
 
     If the environment variable NLIE_ORACLE_CACHE names a directory,
     computed cells are stored there as one JSON record per cell: {n, d, w,
@@ -424,8 +408,8 @@ def graded_dimension(
         dim = _read_cell(cache_path, n, d, w)
         if dim is not None:
             return dim
-    dim = _cell(n, d, w).tower.dim
     size = len(graded_monomials(n, d, w, ceiling=ceiling).monomials)
+    dim = _tower(n, d, w).dim
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
         rec = {
@@ -506,17 +490,21 @@ def membership(
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    cell = _cell(n, d, w)
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
     parts: dict = {}  # letter content -> {term: integer coefficient}
     for t, c in lc.items():
-        if t not in cell.index:
+        try:
+            check_term(t, n)  # ValueError: a bad arity or a letter below 1
+            content = tuple(_content(t, [0] * d))  # IndexError: a letter above d
+        except (ValueError, IndexError):
+            content = None
+        if content is None or not is_canonical(t, n):
             raise ValueError(f"term outside the monomial slice: {t!r}")
         val = int(Fraction(c) * denom)
         if val:
-            parts.setdefault(tuple(_content(t, [0] * d)), {})[t] = val
-    tower = cell.tower
+            parts.setdefault(content, {})[t] = val
+    tower = _tower(n, d, w)
     for counts, part in parts.items():
         order = sorted(range(1, d + 1), key=lambda g: -counts[g - 1])  # by falling count
         letters = {g: k for k, g in enumerate(order)}  # generator order[k] becomes id k

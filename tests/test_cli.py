@@ -88,6 +88,21 @@ def test_enumerate_json_schema(capsys):
         assert rec["length"] == 5
 
 
+@pytest.mark.parametrize("cell", [(3, 4, 5), (4, 6, 5)])
+@pytest.mark.parametrize("mode", ["full", "left"])
+def test_enumerate_json_lines_are_json_dumps(monkeypatch, cell, mode):
+    n, d, w = cell
+    text, json_out = io.StringIO(), io.StringIO()
+    args = ["enumerate", "--n", str(n), "--d", str(d), "--w", str(w), "--mode", mode]
+    for out, extra in ((text, []), (json_out, ["--format", "json"])):
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(args + extra) == 0
+    length = terms.commutator_length(n, w)
+    expected = [json.dumps({"term": t, "weight": w, "length": length})
+                for t in text.getvalue().splitlines()]
+    assert expected and json_out.getvalue().splitlines() == expected
+
+
 def test_enumerate_modes_differ(capsys):
     _, full, _ = run(capsys, "enumerate", "--n", "3", "--d", "3", "--w", "4")
     _, left, _ = run(capsys, "enumerate", "--n", "3", "--d", "3", "--w", "4",
@@ -186,7 +201,7 @@ def test_cli_import_leaves_out_dataclasses():
 
 
 def test_cli_import_leaves_out_json():
-    # only `enumerate --format json` and the oracle's cell cache use it
+    # only the oracle's cell cache uses it
     proc = python_with_src(
         "-S", "-c", "import sys, nlie.cli; print('json' in sys.modules)",
         stdout=subprocess.PIPE, text=True,

@@ -1,5 +1,8 @@
+import functools
+import gc
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -203,7 +206,7 @@ def _top_contents(tower) -> Counter:
 def test_echelon_rank_matches_dense_fraction_rank(cell):
     n, d, w = cell
     rm = relation_rows(*cell)
-    tower = oracle._cell(*cell).tower
+    tower = oracle._tower(*cell)
     assert tower.dim == len(rm.basis.monomials) - dense_rank(rm.rows, len(rm.basis.monomials))
     # the lower weights keep every content: their standard ids are a basis
     assert [len(tower.standard[v]) for v in range(1, w)] == [
@@ -269,7 +272,7 @@ def test_repeated_rows_leave_the_rank_unchanged(cell, monkeypatch):
     for row in rm.rows:
         ech.insert(row)
         assert not ech.insert(row)
-    cached = oracle._cell(*cell).tower
+    cached = oracle._tower(*cell)
     assert len(ech.pivots) == len(rm.basis.monomials) - cached.dim
 
     # every tower row generated again, negated and doubled: each weight
@@ -314,7 +317,7 @@ def test_blocks_sum_to_the_ladder_cells(cell):
     # the standard ids of the top weight, each counted once per
     # arrangement of its sorted content, give the ladder's dimension
     dim, monomials, _, rank = LADDER[cell]
-    top = _top_contents(oracle._cell(*cell).tower)
+    top = _top_contents(oracle._tower(*cell))
     assert all(lam == tuple(sorted(lam, reverse=True)) for lam in top)
     assert sum(k * oracle._arrangements(lam) for lam, k in top.items()) == dim
     assert len(graded_monomials(*cell).monomials) - rank == dim
@@ -357,7 +360,7 @@ def test_n2_blocks_follow_the_multigraded_witt_formula(cell):
     # every sorted content of the top weight, those with no standard id
     # included
     _, d, w = cell
-    top = _top_contents(oracle._cell(*cell).tower)
+    top = _top_contents(oracle._tower(*cell))
     assert top
     for k in range(1, d + 1):
         for parts in weight_multisets(w, k, w):
@@ -372,7 +375,7 @@ def test_n2_restricted_instances_give_each_blocks_distinct_rows(cell):
     # gives are the distinct normalized rows of all root instances on
     # standard ids, and fewer than half of them
     _, _, w = cell
-    tower = oracle._cell(*cell).tower
+    tower = oracle._tower(*cell)
     form = tower.forms.__getitem__
     restricted = every = 0
     for v in range(3, w + 1):
@@ -457,6 +460,17 @@ def test_membership_mixed_weight_rejected():
         membership({(1, 2): 1}, 2, 2)  # not canonical: [x2,x1] is
 
 
+@pytest.mark.parametrize(
+    "t", [(0, 1), (-1, 1), (3, 1), (2, 1, 3), (1, 1), (1, 2), ((2, 1), (2, 1))]
+)
+def test_membership_rejects_every_term_outside_the_slice(t):
+    # a bad letter, a bad arity, a vanishing or an unsorted bracket: a
+    # ValueError naming the slice, never IndexError, KeyError or ArityError
+    with pytest.raises(ValueError, match="outside the monomial slice") as info:
+        membership({t: Fraction(1)}, 2, 2)
+    assert type(info.value) is ValueError
+
+
 def test_membership_empty_is_trivial():
     assert membership({}, 3, 3)
 
@@ -490,17 +504,22 @@ def test_ceiling_enforced():
 
 
 def _counted_builds(monkeypatch) -> list:
-    """A cold oracle with no cell cached and no cache file, whose calls of
-    canonical_brackets are appended to the returned list."""
+    """A cold oracle with no tower cached and no cache file, whose slice
+    builds (calls of canonical_brackets) and tower builds are appended to
+    the returned list, as ("slice", cell) and ("tower", cell)."""
     builds = []
 
     def counted(*args, **kwargs):
-        builds.append(args)
+        builds.append(("slice", args))
         return canonical_brackets(*args, **kwargs)
 
+    def tower(*args):
+        builds.append(("tower", args))
+        return oracle._Tower(*args)
+
     monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
-    monkeypatch.setattr(oracle, "_CELLS", {})
     monkeypatch.setattr(oracle, "canonical_brackets", counted)
+    monkeypatch.setattr(oracle, "_tower", functools.cache(tower))
     return builds
 
 
@@ -509,9 +528,11 @@ def test_relation_space_built_once_per_cell_whatever_the_ceiling(monkeypatch):
     graded_dimension(2, 2, 6, ceiling=2000)
     t = graded_monomials(2, 2, 6).monomials[0]
     membership({t: Fraction(1)}, 2, 2)
-    # exactly one cell cached, built once
-    assert list(oracle._CELLS) == [(2, 2, 6)] and builds == [(2, 2, 6)]
-    # a cached cell is still refused under a smaller ceiling
+    assert graded_dimension(2, 2, 6) == 9
+    # exactly one tower cached, built once
+    assert [b for b in builds if b[0] == "tower"] == [("tower", (2, 2, 6))]
+    assert oracle._tower.cache_info().currsize == 1
+    # a cached tower is still refused under a smaller ceiling
     with pytest.raises(InstanceCeilingExceeded):
         graded_dimension(2, 2, 6, ceiling=5)
     with pytest.raises(InstanceCeilingExceeded):
@@ -519,52 +540,60 @@ def test_relation_space_built_once_per_cell_whatever_the_ceiling(monkeypatch):
 
 
 def test_cold_cell_builds_brackets_once(monkeypatch):
-    # the slice is sized by bracket_counts; the one build serves the rows,
-    # their contexts and the monomial list
+    # a cold graded_dimension lists the slice once, then builds the tower
     builds = _counted_builds(monkeypatch)
     assert graded_dimension(2, 2, 10) == 99
-    assert oracle._cell(2, 2, 10).tower.dim == 99
+    assert builds == [("slice", (2, 2, 10)), ("tower", (2, 2, 10))]
+    assert oracle._tower(2, 2, 10).dim == 99
+    # each listing is built afresh, a kept tower is not
     assert len(graded_monomials(2, 2, 10).monomials) == LADDER[2, 2, 10][1]
-    assert builds == [(2, 2, 10)]
-    # and so do a cold membership and relation_rows
-    oracle._CELLS.clear()
+    assert graded_dimension(2, 2, 10) == 99
+    assert builds[2:] == [("slice", (2, 2, 10))] * 2
+    # a cold membership builds only the tower, relation_rows only listings:
+    # one for its rows, one for its monomials
     assert membership({(2, 1): Fraction(1)}, 2, 2) is False
-    assert builds == [(2, 2, 10), (2, 2, 2)]
-    oracle._CELLS.clear()
+    assert builds[4:] == [("tower", (2, 2, 2))]
     assert len(relation_rows(2, 2, 5).rows) > 0
-    assert builds == [(2, 2, 10), (2, 2, 2), (2, 2, 5)]
-    # the four entry points, in the order of the bench's layers, share
-    # one build of a cold cell
-    t = graded_monomials(3, 4, 5).monomials[0]
-    assert len(relation_rows(3, 4, 5).rows) == 3336
-    assert graded_dimension(3, 4, 5) == 380
-    assert membership({t: Fraction(1)}, 3, 4) is False
-    assert builds[3:] == [(3, 4, 5)]
-
-    # a cached cell is neither built nor counted again
-    def never(*args, **kwargs):
-        raise AssertionError("a cached cell built or counted again")
-
-    monkeypatch.setattr(oracle, "canonical_brackets", never)
-    monkeypatch.setattr(oracle, "bracket_counts", never)
-    assert membership({t: Fraction(1)}, 3, 4) is False
+    assert builds[5:] == [("slice", (2, 2, 5))] * 2
 
 
 def test_cold_oracle_generates_no_whole_slice_rows(monkeypatch):
-    # only relation_rows generates the rows of the whole slice
-    def never(cell):
+    # only relation_rows generates the rows of the whole slice, and a cold
+    # membership builds no slice at all
+    def never(*args):
         raise AssertionError("generated the rows of the whole slice")
 
-    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
-    monkeypatch.setattr(oracle, "_CELLS", {})
-    monkeypatch.setattr(oracle._Cell, "rows", never)
-    assert graded_dimension(3, 4, 5) == 380
     t = graded_monomials(2, 3, 6).monomials[-1]
+    builds = _counted_builds(monkeypatch)
+    monkeypatch.setattr(oracle, "_slice_rows", never)
+    assert graded_dimension(3, 4, 5) == 380
+    assert builds == [("slice", (3, 4, 5)), ("tower", (3, 4, 5))]
     assert membership({t: Fraction(1)}, 2, 3) is False
     jacobi = {((3, 2), 1): 1, ((2, 1), 3): 1, ((3, 1), 2): -1}  # the cyclic sum
     assert membership(jacobi, 2, 3) is True
+    assert builds[2:] == [("tower", (2, 3, 6)), ("tower", (2, 3, 3))]
     with pytest.raises(AssertionError, match="whole slice"):
         relation_rows(2, 2, 4)
+
+
+def test_cold_graded_dimension_keeps_only_its_tower(monkeypatch):
+    # the listing is freed before the tower is built: a cold (2,3,9), of
+    # 41 184 monomials, keeps its tower, about 2 MB, and nothing else
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(oracle, "_tower", functools.cache(oracle._Tower))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert graded_dimension(2, 3, 9) == 2184  # the Witt value
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4 * 2**20
+    # the tower cache holds that cell and no other
+    before = oracle._tower.cache_info()
+    oracle._tower(2, 3, 9)
+    after = oracle._tower.cache_info()
+    assert before.currsize == after.currsize == 1 and after.hits == before.hits + 1
 
 
 def test_refused_cell_is_never_built(monkeypatch):
