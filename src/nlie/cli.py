@@ -1,15 +1,22 @@
 """Command-line surface: counts, enumeration, rewriting, table
 reproduction, and the cross-method discrepancy report.
 
-CSV output uses RFC-4180-style quoting (via the csv module).  The
-comparison report documents its reference policy in a leading comment
-line; empty fields mean "not applicable" or "uncomputed", never 0.
+The comparison report is CSV with RFC-4180-style quoting (via the csv
+module).  A table's fields are integers, fractions, empty fields and
+plain header names, which CSV never quotes, so a table is joined with
+commas and does not load csv.  The comparison report documents its
+reference policy in a leading comment line; empty fields mean "not
+applicable" or "uncomputed", never 0.
+
+Each command imports only the modules it runs, from inside the
+functions that run them: `--help`, `table --which 3|4` and the
+closed-form counts but necklace-bound and via-lie load `nlie.counting`
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from itertools import islice
 
@@ -34,8 +41,7 @@ _MODE_NAMES = {
 
 def _enum_mode(tag: str):
     """The `basis.EnumerationMode` of an enumeration count-method tag.
-    Each command imports only the modules it runs, so only a command that
-    enumerates imports `nlie.basis`."""
+    Only a command that enumerates imports `nlie.basis`."""
     from . import basis
 
     return {
@@ -184,11 +190,10 @@ def cmd_table(args) -> int:
     rows = {2: _table2_rows, 3: _table3_rows, 4: _table4_rows, 5: _table5_rows}[
         args.which
     ]()
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    text = "".join(",".join(row) + "\n" for row in rows)
     if args.which == 4:
-        print("# n=2 column: Witt formula; n>=3 columns: ladder closed form")
-    for row in rows:
-        writer.writerow(row)
+        text = "# n=2 column: Witt formula; n>=3 columns: ladder closed form\n" + text
+    sys.stdout.write(text)
     return 0
 
 
@@ -246,6 +251,8 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
 
 
 def cmd_compare(args) -> int:
+    import csv  # flags are free text, quoted should they ever need it
+
     print("# reference count: WITT for n=2, LADDER for n=d, else ORACLE/ENUM_FULL")
     print("# empty fields: method not applicable or instance above the oracle ceiling")
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -4,6 +4,8 @@ ladder (closed and recursive), the nonbasic-count decomposition, and the
 expansion of binomial coefficients into free-Lie graded dimensions.
 
 Everything is exact: integers and `fractions.Fraction` throughout.
+`fractions` and `nlie.terms` are imported by the functions that use
+them, so a closed-form count from a cold `nlie` loads neither.
 
 The closed forms are evaluated literally, even where they disagree with
 each other (the weight-3 double sum gives 11 at n=d=4 where the ladder
@@ -13,12 +15,9 @@ are surfaced by the comparison report, never reconciled silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 from typing import NamedTuple, Optional
-
-from .terms import commutator_length
 
 # Method tags, in the column order of the comparison report.  METHODS is
 # the one list of them: the CLI derives its `count --method` names (lower
@@ -96,6 +95,8 @@ def witt(d: int, w: int) -> int:
 def necklace_bound(n: int, d: int, w: int) -> int:
     """Upper bound (1/m) sum_{r|m} mu(r) d^(m/r) with m the length; equals
     the Witt formula exactly when n = 2."""
+    from .terms import commutator_length
+
     if n < 2 or d < 1 or w < 1:
         raise ValueError("necklace_bound requires n >= 2, d >= 1, w >= 1")
     return witt(d, commutator_length(n, w))
@@ -208,6 +209,8 @@ def nonbasic_breakdown(n: int, d: int, w: int, l_source) -> NonbasicBreakdown:
     """Populate the nonbasic-count identities.  `l_source` is a callable
     (n, d, w) -> int selecting which count feeds them.  The identity
     total = L' + L'' + L* + kappa holds by construction and is asserted."""
+    from .terms import commutator_length
+
     if n < 2 or d < 1 or w < 2:
         raise ValueError("nonbasic_breakdown requires n >= 2, d >= 1, w >= 2")
     m_w = commutator_length(n, w)
@@ -243,6 +246,8 @@ class LieExpansion(NamedTuple):
 
 def _witt_poly(s: int) -> list[Fraction]:
     """Coefficient list (index = degree) of l_d(s) as a polynomial in d."""
+    from fractions import Fraction
+
     coeffs = [Fraction(0)] * (s + 1)
     for r in divisors(s):
         coeffs[s // r] += Fraction(moebius(r), s)
@@ -251,6 +256,8 @@ def _witt_poly(s: int) -> list[Fraction]:
 
 def _binomial_poly(n: int) -> list[Fraction]:
     """Coefficient list of C(d, n) = d(d-1)...(d-n+1)/n! in d."""
+    from fractions import Fraction
+
     poly = [Fraction(1)]
     for i in range(n):
         # multiply by (d - i)
@@ -265,6 +272,8 @@ def _binomial_poly(n: int) -> list[Fraction]:
 def lie_expansion(n: int) -> LieExpansion:
     """Triangular solve of C(d, n) = sum_s c_s l_d(s) in the indeterminate
     d (l_d(s) has degree s, so the system is triangular)."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("lie_expansion requires n >= 1")
     target = _binomial_poly(n)
@@ -285,6 +294,8 @@ def count_via_lie(n: int, d: int, w: int) -> Fraction:
     """The general closed form with every inner binomial C(C(d,n-1), k)
     replaced by its expansion into free-Lie graded dimensions evaluated at
     C(d, n-1) generators.  Must agree with weightw_closed_form."""
+    from fractions import Fraction
+
     if n < 2 or d < n or w < 3:
         raise ValueError("count_via_lie requires n >= 2, d >= n, w >= 3")
     dstar = comb(d, n - 1)

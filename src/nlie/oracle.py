@@ -45,23 +45,19 @@ position: the reference the tower is tested on.
 from __future__ import annotations
 
 import os
-import warnings
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import count, product
 from math import factorial, gcd, lcm, prod
+from operator import gt
 from typing import NamedTuple, Optional
 
 from .terms import (
     bracket_counts,
     bracket_layers,
     canonical_brackets,
-    check_term,
     commutator_length,
     distinct_descending,
-    is_canonical,
-    weight,
     weight_multisets,
 )
 
@@ -427,7 +423,9 @@ def graded_dimension(
 def _read_cell(path: str, n: int, d: int, w: int) -> Optional[int]:
     """The dim of a cell record, or None when there is no usable record
     (with a warning when a bad one is there)."""
-    import json  # only the cell cache needs it; it slows a cold import
+    import json  # only the cell cache needs json and warnings
+    import warnings
+
     try:
         with open(path) as fh:
             rec = json.load(fh)
@@ -464,14 +462,21 @@ def _write_cell(path: str, rec: dict) -> None:
             os.unlink(tmp)
 
 
-def _content(t, counts: list) -> list:
-    """counts, after adding the occurrences of each generator in term t."""
+def _walk(t, n: int, letters: list) -> tuple:
+    """terms.term_key(t, n), whose first entry is the weight, in one walk
+    of t that appends each letter of t to letters, and a 0 for each
+    bracket with other than n children or with children whose keys do not
+    strictly descend.  So t is a canonical term on d letters exactly when
+    every entry of letters lies in 1..d: what `terms.check_term` and
+    `terms.is_canonical` check, with no sort."""
     if isinstance(t, int):
-        counts[t - 1] += 1
-    else:
-        for c in t:
-            _content(c, counts)
-    return counts
+        letters.append(t)
+        return 1, 0, t
+    keys = [_walk(c, n, letters) for c in t]
+    if len(keys) != n or not all(map(gt, keys, keys[1:])):
+        letters.append(0)
+    keys.reverse()
+    return sum([k[0] for k in keys]) - (n - 2), 1, tuple(keys)
 
 
 def membership(
@@ -483,30 +488,33 @@ def membership(
     Each content part is taken to its sorted content by relabeling its
     letters, an automorphism: each term's normal form in the tower reads
     the letters mapped at its leaves."""
+    from fractions import Fraction
+
     if not lc:
         return True
-    weights = {weight(t, n) for t in lc}
+    walked = []  # (term, coefficient, the letters _walk lists)
+    weights = set()
+    for t, c in lc.items():
+        leaves: list = []
+        weights.add(_walk(t, n, leaves)[0])
+        walked.append((t, c, leaves))
     if len(weights) != 1:
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
     # clear denominators to an integer vector
     denom = lcm(*(Fraction(c).denominator for c in lc.values()))
-    parts: dict = {}  # letter content -> {term: integer coefficient}
-    for t, c in lc.items():
-        try:
-            check_term(t, n)  # ValueError: a bad arity or a letter below 1
-            content = tuple(_content(t, [0] * d))  # IndexError: a letter above d
-        except (ValueError, IndexError):
-            content = None
-        if content is None or not is_canonical(t, n):
+    parts: dict = {}  # sorted letters -> {term: integer coefficient}
+    for t, c, leaves in walked:
+        if min(leaves) < 1 or max(leaves) > d:
             raise ValueError(f"term outside the monomial slice: {t!r}")
         val = int(Fraction(c) * denom)
         if val:
-            parts.setdefault(content, {})[t] = val
+            parts.setdefault(tuple(sorted(leaves)), {})[t] = val
     tower = _tower(n, d, w)
-    for counts, part in parts.items():
-        order = sorted(range(1, d + 1), key=lambda g: -counts[g - 1])  # by falling count
+    for content, part in parts.items():
+        counts = Counter(content)
+        order = sorted(range(1, d + 1), key=lambda g: -counts[g])  # by falling count
         letters = {g: k for k, g in enumerate(order)}  # generator order[k] becomes id k
         memo: dict = {}
         forms = [(tower.normal_form(t, letters, memo), val) for t, val in part.items()]

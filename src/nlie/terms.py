@@ -21,7 +21,6 @@ occurrences) of any weight-w term is `commutator_length(n, w)`.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, prod
 from operator import itemgetter
 from typing import NamedTuple, Optional, Union
@@ -343,6 +342,8 @@ def lc_merge(lc: dict, other: dict, scale=1) -> None:
 
 def lc_from_term(t: Term, n: int, coeff=1) -> dict:
     """Canonicalize t and return it as a one-term combination (or {})."""
+    from fractions import Fraction  # here, so an enumeration never loads it
+
     s, ct = canonicalize(t, n)
     if s == 0 or coeff == 0:
         return {}
@@ -352,6 +353,8 @@ def lc_from_term(t: Term, n: int, coeff=1) -> dict:
 def lc_format(lc: dict, n: int) -> str:
     """Render a combination as e.g. '-1*[x3,x2,x1] +1/2*[x2,x1,...]'.
     The empty combination renders as '0'."""
+    from fractions import Fraction
+
     if not lc:
         return "0"
     parts = []

@@ -246,22 +246,64 @@ def child_output(code):
 LOADED = "print(sorted(m for m in sys.modules if m.startswith('nlie.')))"
 
 
-def loaded_after_main(*argv):
-    """The nlie modules a fresh interpreter has loaded once `cli.main`
-    has run `argv`, its stdout discarded."""
+# the stdlib packages that only some commands need: fractions (which
+# loads decimal) and csv
+UNUSED = ("csv", "decimal", "fractions")
+
+
+def loaded_after_main(*argv, among=None):
+    """The nlie modules, or given `among` those of its module names, that a
+    fresh interpreter has loaded once `cli.main` has run `argv`, its stdout
+    discarded."""
+    report = LOADED if among is None else f"print(sorted(set({among!r}) & set(sys.modules)))"
     code = textwrap.dedent(f"""
         import contextlib, io, sys
         from nlie import cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main({list(argv)!r}) == 0
-        {LOADED}
+        {report}
     """)
     return child_output(code)
 
 
 def test_count_loads_neither_basis_nor_rewrite():
     loaded = loaded_after_main("count", "--n", "3", "--d", "4", "--w", "3", "--method", "eq14")
-    assert loaded == "['nlie.cli', 'nlie.counting', 'nlie.terms']\n"
+    assert loaded == "['nlie.cli', 'nlie.counting']\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3", "--d", "5", "--w", "3", "--method", "eq14"),
+        ("count", "--n", "3", "--d", "3", "--w", "6", "--method", "ladder-recursive"),
+        ("table", "--which", "3"),
+        ("table", "--which", "4"),
+    ],
+    ids=["count-eq14", "count-ladder-recursive", "table-3", "table-4"],
+)
+def test_closed_forms_load_neither_fractions_nor_csv(argv):
+    assert loaded_after_main(*argv) == "['nlie.cli', 'nlie.counting']\n"
+    assert loaded_after_main(*argv, among=UNUSED) == "[]\n"
+
+
+def test_enumerate_loads_neither_fractions_nor_csv():
+    for fmt in ("text", "json"):
+        argv = ("enumerate", "--n", "3", "--d", "4", "--w", "4", "--format", fmt)
+        assert loaded_after_main(*argv, among=("csv", "fractions")) == "[]\n"
+
+
+def test_help_entry_point_loads_only_cli_and_counting():
+    # the real `python -m nlie.cli` entry point; -v names every module it
+    # loads, nlie.cli itself running as __main__
+    proc = python_with_src(
+        "-S", "-v", "-m", "nlie.cli", "--help",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out.startswith("usage: nlie")
+    loaded = set(re.findall(r"^import '([\w.]+)'", err, re.MULTILINE))
+    assert sorted(m for m in loaded if m.startswith("nlie")) == ["nlie", "nlie.counting"]
+    assert loaded & {"nlie.terms", *UNUSED} == set()
 
 
 def test_enumerate_loads_neither_rewrite_nor_the_oracle():
@@ -415,6 +457,17 @@ def test_table_5(capsys):
     n3 = next(r for r in rows if r[0] == "3")
     assert n3[1:3] == ["-1", "1/2"]
     assert n3[3] == ""  # l4 column empty for n=3, never 0
+
+
+@pytest.mark.parametrize("which", ["2", "3", "4", "5"])
+def test_table_writes_what_a_csv_writer_writes(capsys, which):
+    # a table is joined with commas, not written by the csv module: its
+    # fields never need quoting, so the bytes are the writer's
+    code, out, _ = run(capsys, "table", "--which", which)
+    assert code == 0
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows(parse_csv(out))
+    assert "".join(l for l in out.splitlines(True) if not l.startswith("#")) == written.getvalue()
 
 
 def test_compare_schema(capsys):

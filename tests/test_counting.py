@@ -7,7 +7,6 @@ from nlie import counting
 from nlie.counting import (
     count_via_lie,
     count_weight2,
-    commutator_length,
     divisors,
     ladder,
     ladder_recursive,
@@ -21,6 +20,7 @@ from nlie.counting import (
     weightw_closed_form,
     witt,
 )
+from nlie.terms import commutator_length
 
 
 def test_moebius():

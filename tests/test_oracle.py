@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -22,6 +22,7 @@ from nlie.rewrite import collect
 from nlie.terms import (
     canonical_brackets,
     canonicalize,
+    check_term,
     distinct_descending,
     is_canonical,
     lc_merge,
@@ -473,6 +474,115 @@ def test_membership_rejects_every_term_outside_the_slice(t):
 
 def test_membership_empty_is_trivial():
     assert membership({}, 3, 3)
+
+
+def _membership_by_three_walks(lc, n, d, ceiling=oracle.DEFAULT_CEILING):
+    """membership as it checked its terms before one walk did: the
+    weights, then per term `check_term`, a count of its letters and
+    `is_canonical`; then the same normal forms in the tower."""
+    if not lc:
+        return True
+    weights = {weight(t, n) for t in lc}
+    if len(weights) != 1:
+        raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
+    w = weights.pop()
+    oracle._slice_size(n, d, w, ceiling)
+    denom = lcm(*(Fraction(c).denominator for c in lc.values()))
+    parts = {}
+    for t, c in lc.items():
+        try:
+            check_term(t, n)
+            counts = [0] * d
+            for letter in _letters(t):
+                counts[letter - 1] += 1  # IndexError: a letter above d
+            content = tuple(counts)
+        except (ValueError, IndexError):
+            content = None
+        if content is None or not is_canonical(t, n):
+            raise ValueError(f"term outside the monomial slice: {t!r}")
+        val = int(Fraction(c) * denom)
+        if val:
+            parts.setdefault(content, {})[t] = val
+    tower = oracle._tower(n, d, w)
+    for counts, part in parts.items():
+        order = sorted(range(1, d + 1), key=lambda g: -counts[g - 1])
+        letters = {g: k for k, g in enumerate(order)}
+        memo = {}
+        forms = [(tower.normal_form(t, letters, memo), val) for t, val in part.items()]
+        sums = [(den, [(val * c, k) for k, c in row.items()]) for (den, row), val in forms]
+        if oracle._combine(sums)[1]:
+            return False
+    return True
+
+
+def _letters(t):
+    return [t] if isinstance(t, int) else [g for c in t for g in _letters(c)]
+
+
+def _defect(rng, t, n, d):
+    """t, or t with a defect somewhere: a letter outside 1..d, a child
+    dropped or repeated at the end, two children swapped or made equal,
+    or only the first child kept."""
+    if isinstance(t, int):
+        return rng.choice([t, t, 0, -1, d + 1])
+    kids = list(t)
+    i = rng.randrange(len(kids))
+    roll = rng.randrange(6)
+    if roll == 0:
+        kids[i] = _defect(rng, kids[i], n, d)
+    elif roll == 1:
+        del kids[i]
+    elif roll == 2:
+        kids.append(kids[i])
+    elif roll == 3:
+        kids[i], kids[-1] = kids[-1], kids[i]
+    elif roll == 4:
+        kids[i - 1] = kids[i]
+    else:
+        del kids[1:]
+    return tuple(kids)
+
+
+def _outcome(check, lc, n, d, ceiling):
+    try:
+        return "verdict", check(lc, n, d, ceiling)
+    except (ValueError, InstanceCeilingExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_membership_checks_terms_as_three_walks_did():
+    # seeded random combinations of slice monomials, random terms and
+    # terms with a defect: the one-walk check gives the same verdict, or
+    # the same exception and text, as weight, check_term, the letter
+    # count and is_canonical did
+    rng = random.Random(19)
+    cells = [(2, 2, 5), (2, 3, 4), (3, 3, 4), (3, 4, 3), (4, 4, 3)]
+    slices = {cell: graded_monomials(*cell).monomials for cell in cells}
+    seen = Counter()
+    for _ in range(1500):
+        n, d, w = rng.choice(cells)
+        terms = []
+        for _ in range(rng.choice([1, 1, 2, 4])):
+            roll = rng.random()
+            if roll < 0.5:
+                t = rng.choice(slices[n, d, w])
+            elif roll < 0.7:
+                t = random_term(rng, n, d, rng.choice([w, w, w - 1]))
+            else:
+                t = rng.choice(slices[n, d, w])
+            terms.append(_defect(rng, t, n, d) if roll >= 0.7 else t)
+        lc = {t: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for t in terms}
+        ceiling = rng.choice([oracle.DEFAULT_CEILING] * 9 + [3])
+        got = _outcome(membership, lc, n, d, ceiling)
+        assert got == _outcome(_membership_by_three_walks, lc, n, d, ceiling), lc
+        seen[got[0], str(got[1])[:12]] += 1
+    # every outcome occurs: both verdicts, a term outside the slice, mixed
+    # weights, a bad instance and the ceiling
+    assert seen.keys() >= {
+        ("verdict", "True"), ("verdict", "False"), ("ValueError", "term outside"),
+        ("ValueError", "mixed-weight"), ("ValueError", "bad instance"),
+    }
+    assert any(kind == "InstanceCeilingExceeded" for kind, _ in seen)
 
 
 def test_relabeling_invariance():
