@@ -45,7 +45,7 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
-from .terms import Term, _canonical, _runs, bracket_layers
+from .terms import Term, _key_children, _runs, _walk, bracket_layers
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -121,11 +121,6 @@ _RULES = {
 }
 
 
-def _key_children(k) -> tuple:
-    # a bracket's key holds its children's keys in reverse; a leaf's, none
-    return k[2][::-1] if k[1] else ()
-
-
 def _basic_key(k, rule) -> bool:
     """Whether the canonical term with key k is basic under `rule`."""
     hs = _key_children(k)
@@ -139,8 +134,9 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
     """Whether the canonical term t is a basic commutator under `mode`.
 
     Raises ValueError on non-canonical input."""
-    sign, ct, key = _canonical(t, n)
-    if sign != 1 or ct != t:
+    letters: list = []
+    key = _walk(t, n, letters)
+    if min(letters) < 1:
         raise ValueError(f"not a canonical term: {t!r}")
     return _basic_key(key, _RULES[mode][0])
 

@@ -49,10 +49,10 @@ from collections import Counter
 from functools import cache
 from itertools import count, product
 from math import factorial, gcd, lcm, prod
-from operator import gt
 from typing import NamedTuple, Optional
 
 from .terms import (
+    _walk,
     bracket_counts,
     bracket_layers,
     canonical_brackets,
@@ -460,23 +460,6 @@ def _write_cell(path: str, rec: dict) -> None:
     finally:
         if os.path.exists(tmp):  # left behind only if a step above failed
             os.unlink(tmp)
-
-
-def _walk(t, n: int, letters: list) -> tuple:
-    """terms.term_key(t, n), whose first entry is the weight, in one walk
-    of t that appends each letter of t to letters, and a 0 for each
-    bracket with other than n children or with children whose keys do not
-    strictly descend.  So t is a canonical term on d letters exactly when
-    every entry of letters lies in 1..d: what `terms.check_term` and
-    `terms.is_canonical` check, with no sort."""
-    if isinstance(t, int):
-        letters.append(t)
-        return 1, 0, t
-    keys = [_walk(c, n, letters) for c in t]
-    if len(keys) != n or not all(map(gt, keys, keys[1:])):
-        letters.append(0)
-    keys.reverse()
-    return sum([k[0] for k in keys]) - (n - 2), 1, tuple(keys)
 
 
 def membership(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, prod
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import NamedTuple, Optional, Union
 
 Term = Union[int, tuple]
@@ -123,16 +123,13 @@ def format_term(t: Term) -> str:
 
 
 def weight(t: Term, n: int) -> int:
-    if is_leaf(t):
-        return 1
-    # map, not a generator expression: one frame per level of t
-    return sum(map(weight, t, itertools.repeat(n))) - (n - 2)
+    return term_key(t, n)[0]
 
 
 def length(t: Term) -> int:
     if is_leaf(t):
         return 1
-    return sum(length(c) for c in t)
+    return sum(list(map(length, t)))  # summing a list, not a map: one frame per level
 
 
 def commutator_length(n: int, w: int) -> int:
@@ -141,15 +138,33 @@ def commutator_length(n: int, w: int) -> int:
     return n + (w - 2) * (n - 1)
 
 
+def _walk(t: Term, n: int, letters: list) -> tuple:
+    """term_key(t, n), in the one walk of t that appends each letter of t
+    to letters, and a 0 for each bracket that is not a tuple of n children
+    whose keys strictly descend.  So t is a canonical term exactly when
+    letters holds nothing below 1, and on d letters when nothing above d:
+    what `check_term` and `is_canonical` check, with no sort."""
+    if isinstance(t, int):
+        letters.append(t)
+        return 1, 0, t
+    keys = list(map(_walk, t, itertools.repeat(n), itertools.repeat(letters)))  # one frame per level
+    if len(keys) != n or not isinstance(t, tuple) or not all(map(gt, keys, keys[1:])):
+        letters.append(0)
+    keys.reverse()
+    return sum([k[0] for k in keys]) - (n - 2), 1, tuple(keys)
+
+
+def _key_children(k) -> tuple:
+    # a bracket's key holds its children's keys in reverse; a leaf's, none
+    return k[2][::-1] if k[1] else ()
+
+
 def term_key(t: Term, n: int):
     """A sort key realizing the term order: weight first, then generator
     index for leaves, then children compared right-to-left (recursively)
     for equal-weight brackets.  A key's first entry is the term's weight,
     so one pass over the tree computes both."""
-    if is_leaf(t):
-        return (1, 0, t)
-    keys = tuple(map(term_key, reversed(t), itertools.repeat(n)))  # one frame per level
-    return (sum([k[0] for k in keys]) - (n - 2), 1, keys)
+    return _walk(t, n, [])
 
 
 def compare(a: Term, b: Term, n: int) -> int:
@@ -206,8 +221,11 @@ def canonicalize(t: Term, n: int) -> SignedTerm:
 
 
 def is_canonical(t: Term, n: int) -> bool:
-    s, ct = canonicalize(t, n)
-    return s == 1 and ct == t
+    """Whether t is a well-formed term of arity n that `canonicalize`
+    returns unchanged with sign 1; False on a malformed term."""
+    letters: list = []
+    _walk(t, n, letters)
+    return min(letters) >= 1
 
 
 # ---------------------------------------------------------------------------

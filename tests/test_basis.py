@@ -25,10 +25,20 @@ LEFT = EnumerationMode.LEFT_NORMED
 
 
 def test_is_basic_rejects_noncanonical():
-    with pytest.raises(ValueError):
-        is_basic((1, 2), 2)
-    with pytest.raises(ValueError):
-        is_basic((1, 2, 3), 3)
+    for t, n in [
+        ((1, 2), 2),
+        ((1, 2, 3), 3),
+        ((2, 1), 3),  # two children at arity 3
+        ((4, 3, 2, 1), 3),
+        (0, 2),
+        (((2, 1), -1), 2),
+        ([2, 1], 2),  # a bracket that is not a tuple
+        ((3, [2, 1]), 2),
+        (((2, 1), (2, 1)), 2),
+    ]:
+        for mode in (FULL, LEFT):
+            with pytest.raises(ValueError, match="not a canonical term"):
+                is_basic(t, n, mode)
 
 
 def test_leaves_and_cores_are_basic():
@@ -118,9 +128,20 @@ def test_is_basic_walks_deep_terms():
     u = ((2, 1), 2), 1
     for _ in range(598):
         u = (u, 2)
+    # the same with the innermost bracket out of order
+    v = (1, 2)
+    for _ in range(599):
+        v = (v, 2)
     for mode in (FULL, LEFT):
         assert is_basic(t, 2, mode)
         assert not is_basic(u, 2, mode)
+        with pytest.raises(ValueError, match="not a canonical term"):
+            is_basic(v, 2, mode)
+    # the rest of the term core walks them too, one frame per level
+    terms = (t, u, v)
+    assert [weight(x, 2) for x in terms] == [term_key(x, 2)[0] for x in terms] == [601, 602, 601]
+    assert list(map(length, terms)) == [601, 602, 601]  # at n = 2 the weight
+    assert is_canonical(t, 2) and is_canonical(u, 2) and not is_canonical(v, 2)
 
 
 def _count_builds(monkeypatch):

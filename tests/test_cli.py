@@ -320,6 +320,12 @@ def test_a_public_name_loads_only_the_modules_it_needs():
     assert child_output(code) == "['nlie.oracle', 'nlie.terms']\n"
 
 
+def test_the_oracle_is_independent_of_the_predicate_and_the_closed_forms():
+    # the oracle loads the term core alone, and the predicate no oracle
+    assert child_output("import sys, nlie.oracle; " + LOADED) == "['nlie.oracle', 'nlie.terms']\n"
+    assert "nlie.oracle" not in child_output("import sys, nlie.basis; " + LOADED)
+
+
 def test_public_names_resolve_on_first_use():
     # dir() is read before any name is used; a name resolves when it is
     # one of the loaded submodules or the same object as in one of them

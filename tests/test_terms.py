@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_term
-from nlie import terms
+from nlie import basis, terms
+from nlie.basis import EnumerationMode, is_basic
 from nlie.oracle import graded_monomials
 from nlie.terms import (
     ArityError,
@@ -165,6 +167,93 @@ def test_canonicalize_idempotent_and_parity():
             swapped = (t[1], t[0]) + t[2:]
             s2, ct2 = canonicalize(swapped, n)
             assert (s2, ct2) == (-s, ct)
+
+
+def test_is_canonical_rejects_malformed_terms():
+    assert is_canonical(4, 3) and is_canonical(((3, 2, 1), 2, 1), 3)
+    for t, n in [
+        ((2, 1), 3),  # two children at arity 3
+        ((4, 3, 2, 1), 3),
+        (0, 2),
+        (-1, 2),
+        (((2, 1), 0), 2),
+        ([2, 1], 2),  # a bracket that is not a tuple
+        ((3, [2, 1]), 2),
+        ((1, 2), 2),
+        ((2, 2), 2),
+        (((1, 2), 3), 2),
+    ]:
+        assert not is_canonical(t, n), t
+
+
+# The term core as it was before one walk built every key, the reference
+# for that walk.
+def _old_term_key(t, n):
+    if isinstance(t, int):
+        return (1, 0, t)
+    keys = tuple(_old_term_key(c, n) for c in reversed(t))
+    return (sum(k[0] for k in keys) - (n - 2), 1, keys)
+
+
+def _old_weight(t, n):
+    return 1 if isinstance(t, int) else sum(_old_weight(c, n) for c in t) - (n - 2)
+
+
+def _old_is_basic(t, n, mode):
+    sign, ct, key = terms._canonical(t, n)
+    if sign != 1 or ct != t:
+        raise ValueError(f"not a canonical term: {t!r}")
+    return basis._basic_key(key, basis._RULES[mode][0])
+
+
+def _rough_term(rng, n, d, depth):
+    """A random term of at most `depth` levels, mostly canonical, with now
+    and then a defect: a bracket of n - 1 or n + 1 children, a leaf of 0
+    or below, equal or unsorted children, or a list for a bracket."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.randint(1, d) if rng.random() < 0.97 else rng.randint(-1, 0)
+    arity = n if rng.random() < 0.95 else rng.choice([n - 1, n + 1])
+    kids = [_rough_term(rng, n, d, depth - 1) for _ in range(arity)]
+    defect = rng.random()
+    if defect < 0.04 and arity > 1:
+        kids[1] = kids[0]
+    elif defect > 0.08:  # else unsorted, as drawn
+        kids.sort(key=lambda c: _old_term_key(c, n), reverse=True)
+    return kids if rng.random() < 0.03 else tuple(kids)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_walk_keys_weighs_and_checks_as_the_old_definitions():
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.choice([2, 3, 4])
+        t = _rough_term(rng, n, 4, rng.randint(0, 4))
+        assert term_key(t, n) == _old_term_key(t, n)
+        assert weight(t, n) == _old_weight(t, n)
+        try:
+            check_term(t, n)
+        except (TypeError, ValueError) as exc:
+            seen[type(exc)] += 1  # a list bracket, a wrong arity, a bad leaf
+            assert not is_canonical(t, n)
+            for mode in EnumerationMode:
+                with pytest.raises(ValueError, match="not a canonical term"):
+                    is_basic(t, n, mode)
+            continue
+        canonical = canonicalize(t, n) == (1, t)
+        assert is_canonical(t, n) == canonical
+        for mode in EnumerationMode:
+            got = _outcome(is_basic, t, n, mode)
+            assert got == _outcome(_old_is_basic, t, n, mode)
+            seen[got if canonical else "not canonical"] += 1
+    assert min(seen[k] for k in (TypeError, ArityError, ValueError)) >= 20, seen
+    assert min(seen[k] for k in (True, False, "not canonical")) >= 50, seen
 
 
 def test_lc_helpers_drop_zeros():
