@@ -25,12 +25,12 @@ from typing import Optional
 from .basis import EnumerationMode, is_basic
 from .terms import (
     Term,
+    _canonical,
     canonicalize,
     check_term,
     is_leaf,
     lc_add,
     lc_merge,
-    term_key,
 )
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -96,27 +96,46 @@ def _deepest_nonbasic_path(t: Term, n: int) -> Optional[tuple]:
     return ()
 
 
+def _shared(lc: dict) -> dict:
+    """lc with its terms rebuilt bottom-up through one table, so equal
+    subterms are one object.  An explicit stack, not recursion, so any
+    term `collect` accepts is walked."""
+    table: dict = {}
+    stack = [(t, False) for t in lc]
+    while stack:
+        u, built = stack.pop()
+        if built:  # its bracket children are in the table
+            table.setdefault(u, tuple([table.get(v, v) for v in u]))
+        elif not is_leaf(u) and u not in table:
+            stack.append((u, True))
+            stack += [(v, False) for v in u]
+    return {table.get(t, t): c for t, c in lc.items()}
+
+
 def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
     """Rewrite t into a combination of FULL_RULE3 basic commutators.
 
     Returns (combination, trace).  If the step budget runs out,
     trace.capped is True and the residual non-basic terms are left in the
-    combination."""
+    combination.  Each term is keyed once, when it is canonicalized, and
+    equal subterms of the result are one object."""
     check_term(t, n)
     trace = RewriteTrace()
-    s, ct = canonicalize(t, n)
+    s, ct, k = _canonical(t, n)
     if s == 0:
         trace.record(ZERO, (), 1, 0)
         return {}, trace
     if ct != t or s != 1:
         trace.record(SKEW, (), 1, 1)
     work = {ct: Fraction(s)}
+    keys = {ct: k}  # the term_key of each term in work
     out: dict = {}
     steps = 0
     while work:
         # largest term first: expansions feed cancellations deterministically
-        u = max(work, key=lambda v: term_key(v, n))
+        u = max(work, key=keys.__getitem__)
         c = work.pop(u)
+        del keys[u]
         path = _deepest_nonbasic_path(u, n)
         if path is None:
             lc_add(out, u, c)
@@ -128,12 +147,17 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
         steps += 1
         before = len(work) + 1
         for summand in _summands(u, path, n):
-            ss, cs = canonicalize(summand, n)
+            ss, cs, ks = _canonical(summand, n)
             if ss != 0:
-                lc_add(work, cs, c * ss)
+                cc = work.get(cs, 0) + c * ss
+                if cc:
+                    work[cs] = cc
+                    keys[cs] = ks
+                else:  # cancelled
+                    del work[cs], keys[cs]
         trace.record(JACOBI, path, before, len(work))
     lc_merge(out, work)  # the residual, if the budget ran out
-    return out, trace
+    return _shared(out), trace
 
 
 def collect_lc(lc: dict, n: int, cap: int = DEFAULT_STEP_BUDGET):

@@ -147,6 +147,8 @@ def _walk(t: Term, n: int, letters: list) -> tuple:
     if isinstance(t, int):
         letters.append(t)
         return 1, 0, t
+    if not isinstance(t, (tuple, list)):  # a one-letter str iterates to itself
+        raise TypeError(f"not a term: {t!r}")
     keys = list(map(_walk, t, itertools.repeat(n), itertools.repeat(letters)))  # one frame per level
     if len(keys) != n or not isinstance(t, tuple) or not all(map(gt, keys, keys[1:])):
         letters.append(0)
@@ -187,6 +189,8 @@ def _canonical(t: Term, n: int):
     vanishes.  Children's keys are reused for the parent's key."""
     if is_leaf(t):
         return 1, t, (1, 0, t)
+    if not isinstance(t, (tuple, list)):
+        raise TypeError(f"not a term: {t!r}")
     sign = 1
     kids = []
     keys = []
@@ -222,7 +226,8 @@ def canonicalize(t: Term, n: int) -> SignedTerm:
 
 def is_canonical(t: Term, n: int) -> bool:
     """Whether t is a well-formed term of arity n that `canonicalize`
-    returns unchanged with sign 1; False on a malformed term."""
+    returns unchanged with sign 1; False on a malformed bracket, and
+    TypeError on what is no term at all (a str, say)."""
     letters: list = []
     _walk(t, n, letters)
     return min(letters) >= 1

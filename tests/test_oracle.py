@@ -585,6 +585,13 @@ def test_membership_checks_terms_as_three_walks_did():
     assert any(kind == "InstanceCeilingExceeded" for kind, _ in seen)
 
 
+def test_membership_refuses_a_str_where_a_term_belongs():
+    # a one-letter str iterates to itself; the walk raises at once
+    for lc in [{"x1": 1}, {((2, 1), "x1"): 1}, {(2, 1): 1, "x1": -1}]:
+        with pytest.raises(TypeError, match="not a term"):
+            membership(lc, 2, 2)
+
+
 def test_relabeling_invariance():
     # collecting identities survive any permutation of the generators
     rng = random.Random(41)

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_term
 from nlie import oracle, rewrite
 from nlie.basis import EnumerationMode, enumerate_basic, is_basic
-from nlie.rewrite import JACOBI, collect, collect_lc, expand_jacobi
-from nlie.terms import canonicalize, lc_merge, weight
+from nlie.rewrite import JACOBI, SKEW, ZERO, RewriteTrace, collect, collect_lc, expand_jacobi
+from nlie.terms import canonicalize, lc_add, lc_merge, term_key, weight
 
 
 def _difference(t, lc, n):
@@ -147,3 +147,104 @@ def test_collect_weight_homogeneous():
         t = random_term(rng, 3, 3, w)
         lc, _ = collect(t, 3)
         assert all(weight(u, 3) == w for u in lc)
+
+
+def _collect_rekeying(t, n, cap=rewrite.DEFAULT_STEP_BUDGET):
+    """The reference collecting loop, which re-keys every term of the work
+    combination with term_key on every step."""
+    trace = RewriteTrace()
+    s, ct = canonicalize(t, n)
+    if s == 0:
+        trace.record(ZERO, (), 1, 0)
+        return {}, trace
+    if ct != t or s != 1:
+        trace.record(SKEW, (), 1, 1)
+    work = {ct: Fraction(s)}
+    out = {}
+    steps = 0
+    while work:
+        u = max(work, key=lambda v: term_key(v, n))
+        c = work.pop(u)
+        path = rewrite._deepest_nonbasic_path(u, n)
+        if path is None:
+            lc_add(out, u, c)
+            continue
+        if steps >= cap:
+            trace.capped = True
+            work[u] = c
+            break
+        steps += 1
+        before = len(work) + 1
+        for summand in rewrite._summands(u, path, n):
+            ss, cs = canonicalize(summand, n)
+            if ss != 0:
+                lc_add(work, cs, c * ss)
+        trace.record(JACOBI, path, before, len(work))
+    lc_merge(out, work)
+    return out, trace
+
+
+def _left_normed(letters):
+    t = letters[0]
+    for g in letters[1:]:
+        t = (t, g)
+    return t
+
+
+def _same_run(t, n, cap=rewrite.DEFAULT_STEP_BUDGET):
+    """collect and the reference give the same combination, in the same
+    order, and the same trace; returns collect's."""
+    lc, trace = collect(t, n, cap=cap)
+    ref, ref_trace = _collect_rekeying(t, n, cap=cap)
+    assert list(lc.items()) == list(ref.items()), t
+    assert trace.steps == ref_trace.steps, t
+    assert trace.capped == ref_trace.capped, t
+    return lc, trace
+
+
+def _random_left_normed(rng, n, d, w):
+    """A left-normed term of weight w whose core and tails each have
+    distinct letters, as in the bench corpus."""
+    t = tuple(rng.sample(range(1, d + 1), n))
+    for _ in range(w - 2):
+        t = (t,) + tuple(rng.sample(range(1, d + 1), n - 1))
+    return t
+
+
+@pytest.mark.parametrize("n,d,w_max", [(2, 3, 7), (3, 4, 6), (4, 5, 5)])
+def test_collect_matches_the_rekeying_reference(n, d, w_max):
+    rng = random.Random(21 + n)
+    capped = 0
+    for _ in range(40):
+        t = _random_left_normed(rng, n, d, rng.randint(2, w_max))
+        _same_run(t, n)
+        _, trace = _same_run(t, n, cap=1)  # the capped residual matches too
+        capped += trace.capped
+    assert capped >= 2
+
+
+def test_collect_matches_the_rekeying_reference_on_a_long_run():
+    t = _left_normed([1, 2, 3] * 3)
+    lc, trace = _same_run(t, 2)
+    assert len(lc) == 109
+    assert len(trace.steps) == 377
+    assert not trace.capped
+
+
+def _subterms(lc):
+    """Every bracket occurring in the terms of lc, each occurrence once."""
+    stack = list(lc)
+    while stack:
+        u = stack.pop()
+        if isinstance(u, tuple):
+            yield u
+            stack += u
+
+
+def test_collect_shares_equal_subterms():
+    n3 = (((((4, 3, 2), 4, 2), 4, 1), 3, 1), 1, 4)
+    for t, n in [(_left_normed([1, 2, 3] * 3), 2), (n3, 3)]:
+        lc, _ = collect(t, n)
+        occurrences = list(_subterms(lc))
+        assert len(set(occurrences)) < len(occurrences)  # some subterm recurs
+        assert len({id(u) for u in occurrences}) == len(set(occurrences))

@@ -80,6 +80,21 @@ def test_check_term_rejects_malformed_terms():
     check_term(((2, 1), 1), 2)
 
 
+def test_a_str_where_a_term_belongs_is_not_a_term():
+    # a one-letter str iterates to itself, so a walk must refuse it rather
+    # than recurse until RecursionError
+    for t in ["x1", "1", ((2, 1), "x1"), (2, (1, "2"))]:
+        for f in (term_key, weight, is_canonical, canonicalize, is_basic):
+            with pytest.raises(TypeError, match="not a term"):
+                f(t, 2)
+    # a list bracket is a malformed bracket, not a non-term
+    assert not is_canonical([2, 1], 2)
+    assert not is_canonical(((2, 1), [2, 1]), 2)
+    with pytest.raises(ValueError, match="not a canonical term"):
+        is_basic([2, 1], 2)
+    assert canonicalize([1, 2], 2) == (-1, (2, 1))
+
+
 def test_weight_and_length():
     assert weight(5, 3) == 1
     assert weight((3, 2, 1), 3) == 2
