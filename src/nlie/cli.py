@@ -131,7 +131,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    from . import rewrite, terms
+    from . import basis, rewrite, terms
 
     try:
         t = terms.parse(args.expr, args.n)
@@ -145,12 +145,19 @@ def cmd_rewrite(args) -> int:
         budget = rewrite.DEFAULT_STEP_BUDGET if args.budget is None else args.budget
         lc, trace = rewrite.collect(t, args.n, cap=budget)
         text = terms.lc_format(lc, args.n)
+        if trace.capped:
+            steps = sum(step[0] == rewrite.JACOBI for step in trace.steps)
+            nonbasic = sum(not basis.is_basic(u, args.n) for u in lc)
     except RecursionError:
         print("error: term nested too deeply to collect", file=sys.stderr)
         return 1
     print(text)
     if trace.capped:
-        print("warning: step budget exhausted; residual terms may be non-basic", file=sys.stderr)
+        print(
+            f"warning: step budget exhausted after {steps} step{'s' * (steps != 1)}; "
+            f"{nonbasic} of {len(lc)} output terms are not basic",
+            file=sys.stderr,
+        )
         return 2
     return 0
 

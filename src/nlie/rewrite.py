@@ -10,7 +10,8 @@ expands a bracket whose first child is itself a bracket.  A canonical term
 with basic children that fails the basic predicate always has a bracket in
 its first slot (the first child carries the maximal weight), so the
 identity applies at the deepest offending node until only basic terms
-remain.
+remain.  A step keys its summands from the expanded term's key: only the
+path from the expanded bracket up to the root is re-sorted and re-keyed.
 
 Termination of the process is not guaranteed a priori; a configurable
 step budget caps the work, and exhaustion is surfaced via the `capped`
@@ -25,7 +26,9 @@ from typing import Optional
 from .basis import EnumerationMode, is_basic
 from .terms import (
     Term,
+    _bracket,
     _canonical,
+    _key_children,
     canonicalize,
     check_term,
     is_leaf,
@@ -67,6 +70,38 @@ def _summands(t: Term, path: tuple, n: int) -> list:
         raise ValueError(f"{t!r} is not a bracket with a bracket in its first slot")
     head, ys = t[0], t[1:]
     return [head[:i] + ((head[i],) + ys,) + head[i + 1 :] for i in range(n)]
+
+
+def _keyed_summands(u: Term, k: tuple, path: tuple, n: int):
+    """The nonzero results of `_canonical` on `_summands(u, path, n)`, in
+    that order, for a canonical u with term_key k: (sign, term, key).
+    Only the path from the expanded bracket up to the root is re-keyed.
+    The new inner bracket, the head it lands in and each ancestor are
+    sorted by `_bracket` from their children's keys, which off the path
+    are read from k as they are."""
+    spine = []  # (node, its children's keys, slot on the path), root first
+    for p in path:
+        ks = _key_children(k)
+        spine.append((u, ks, p))
+        u, k = u[p], ks[p]
+    ks = _key_children(k)
+    head, head_keys = u[0], _key_children(ks[0])
+    ys, ys_keys = u[1:], ks[1:]
+    spine.reverse()  # the expanded bracket's parent first, the root last
+    for i in range(n):
+        s, t, tk = _bracket((head[i],) + ys, (head_keys[i],) + ys_keys, n)
+        if s == 0:
+            continue
+        # head with the new bracket in slot i, then each ancestor in turn
+        for node, node_keys, p in [(head, head_keys, i)] + spine:
+            kids, keys = list(node), list(node_keys)
+            kids[p], keys[p] = t, tk
+            sp, t, tk = _bracket(kids, keys, n)
+            if sp == 0:
+                break
+            s *= sp
+        else:
+            yield s, t, tk
 
 
 def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
@@ -117,8 +152,10 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
 
     Returns (combination, trace).  If the step budget runs out,
     trace.capped is True and the residual non-basic terms are left in the
-    combination.  Each term is keyed once, when it is canonicalized, and
-    equal subterms of the result are one object."""
+    combination.  Each term is keyed once, when it is canonicalized: a
+    Jacobi step re-keys only the path from the expanded bracket up to the
+    root and reuses the keys of u off it.  Equal subterms of the result
+    are one object."""
     check_term(t, n)
     trace = RewriteTrace()
     s, ct, k = _canonical(t, n)
@@ -135,7 +172,7 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
         # largest term first: expansions feed cancellations deterministically
         u = max(work, key=keys.__getitem__)
         c = work.pop(u)
-        del keys[u]
+        k = keys.pop(u)
         path = _deepest_nonbasic_path(u, n)
         if path is None:
             lc_add(out, u, c)
@@ -146,15 +183,13 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
             break
         steps += 1
         before = len(work) + 1
-        for summand in _summands(u, path, n):
-            ss, cs, ks = _canonical(summand, n)
-            if ss != 0:
-                cc = work.get(cs, 0) + c * ss
-                if cc:
-                    work[cs] = cc
-                    keys[cs] = ks
-                else:  # cancelled
-                    del work[cs], keys[cs]
+        for ss, cs, ks in _keyed_summands(u, k, path, n):
+            cc = work.get(cs, 0) + c * ss
+            if cc:
+                work[cs] = cc
+                keys[cs] = ks
+            else:  # cancelled
+                del work[cs], keys[cs]
         trace.record(JACOBI, path, before, len(work))
     lc_merge(out, work)  # the residual, if the budget ran out
     return _shared(out), trace

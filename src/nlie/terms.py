@@ -184,6 +184,26 @@ class SignedTerm(NamedTuple):
     term: Optional[Term]  # None iff sign == 0
 
 
+def _bracket(kids, keys, n: int):
+    """The canonical bracket of the canonical children `kids`, whose
+    term_keys are `keys`: (sign, term, term_key), or (0, None, None) if two
+    keys are equal.  The term has the children sorted strictly descending,
+    the sign is that of the sort, and the key holds the children's keys
+    ascending, so it is built from theirs with no walk of any child."""
+    sign = 1
+    # each pair out of descending order flips the sign of the sort
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            if a == b:
+                return 0, None, None
+            if a < b:
+                sign = -sign
+    order = sorted(range(len(kids)), key=keys.__getitem__, reverse=True)
+    ascending = tuple(keys[i] for i in reversed(order))
+    key = (sum(k[0] for k in keys) - (n - 2), 1, ascending)
+    return sign, tuple(kids[i] for i in order), key
+
+
 def _canonical(t: Term, n: int):
     """(sign, canonical term, its term_key), or (0, None, None) if t
     vanishes.  Children's keys are reused for the parent's key."""
@@ -201,19 +221,11 @@ def _canonical(t: Term, n: int):
         sign *= s
         kids.append(cc)
         keys.append(k)
-    # each pair out of descending order flips the sign of the sort
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            if a == b:
-                return 0, None, None
-            if a < b:
-                sign = -sign
-    order = sorted(range(len(kids)), key=keys.__getitem__, reverse=True)
-    ascending = tuple(keys[i] for i in reversed(order))
-    key = (sum(k[0] for k in keys) - (n - 2), 1, ascending)
-    ordered = tuple(kids[i] for i in order)
+    s, ordered, key = _bracket(kids, keys, n)
+    if s == 0:
+        return 0, None, None
     # a canonical t is returned itself, so results share canonical subterms
-    return sign, (t if ordered == t else ordered), key
+    return sign * s, (t if ordered == t else ordered), key
 
 
 def canonicalize(t: Term, n: int) -> SignedTerm:

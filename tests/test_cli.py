@@ -429,6 +429,16 @@ def test_rewrite_budget_exhaustion(capsys):
     assert code == 2
     assert "budget" in err
     assert out.strip() != "0"
+    assert "after 0 steps; 1 of 1 output terms are not basic" in err
+    # a capped run names the steps it took and the non-basic terms it printed
+    code, out, err = run(capsys, "rewrite", "--n", "3", "--budget", "3",
+                         "[[[[x4,x3,x2],x4,x2],x3,x1],x4,x1]")
+    assert code == 2
+    printed = [terms.parse(part.split("*")[1], 3) for part in out.split()]
+    assert len(printed) == 5
+    assert sum(not basis.is_basic(u, 3) for u in printed) == 2
+    assert err == ("warning: step budget exhausted after 3 steps; "
+                   "2 of 5 output terms are not basic\n")
 
 
 def test_table_2(capsys):

@@ -7,7 +7,7 @@ from conftest import random_term
 from nlie import oracle, rewrite
 from nlie.basis import EnumerationMode, enumerate_basic, is_basic
 from nlie.rewrite import JACOBI, SKEW, ZERO, RewriteTrace, collect, collect_lc, expand_jacobi
-from nlie.terms import canonicalize, lc_add, lc_merge, term_key, weight
+from nlie.terms import _canonical, canonicalize, lc_add, lc_merge, term_key, weight
 
 
 def _difference(t, lc, n):
@@ -147,6 +147,43 @@ def test_collect_weight_homogeneous():
         t = random_term(rng, 3, 3, w)
         lc, _ = collect(t, 3)
         assert all(weight(u, 3) == w for u in lc)
+
+
+def _expandable_paths(t, path=()):
+    """Every path in t to a bracket whose first child is a bracket."""
+    if isinstance(t, tuple):
+        if isinstance(t[0], tuple):
+            yield path
+        for i, c in enumerate(t):
+            yield from _expandable_paths(c, path + (i,))
+
+
+def _root_vanishing(n):
+    """A term whose root vanishes when its first child is expanded: the
+    root holds a bracket a beside the first summand of a's expansion."""
+    head, ys = tuple(range(2 * n - 1, n - 1, -1)), tuple(range(n - 1, 0, -1))
+    a = (head,) + ys
+    return (a, ((head[0],) + ys,) + head[1:]) + tuple(range(2 * n, 3 * n - 2))
+
+
+@pytest.mark.parametrize("n,d,w_max", [(2, 3, 7), (3, 5, 6), (4, 6, 5)])
+def test_keyed_summands_match_canonicalizing_each_summand(n, d, w_max):
+    rng = random.Random(31 + n)
+    seeded = [_canonical(_root_vanishing(n), n)]
+    while len(seeded) < 40:
+        r = _canonical(random_term(rng, n, d, rng.randint(3, w_max)), n)
+        if r[0]:
+            seeded.append(r)
+    checked = dropped = 0
+    for _, u, k in seeded:
+        for path in _expandable_paths(u):
+            want = [_canonical(s, n) for s in rewrite._summands(u, path, n)]
+            want = [r for r in want if r[0]]
+            got = list(rewrite._keyed_summands(u, k, path, n))
+            assert got == want, (u, path)
+            checked += 1
+            dropped += n - len(want)
+    assert checked >= 40 and dropped > 0
 
 
 def _collect_rekeying(t, n, cap=rewrite.DEFAULT_STEP_BUDGET):
