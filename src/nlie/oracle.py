@@ -36,8 +36,8 @@ The tower is the only state the oracle keeps: one per cell (n, d, w),
 built on first use by `graded_dimension` or `membership`.  Each entry
 point sizes the slice against the ceiling first, by
 `terms.bracket_counts`, so a refused cell is never built.
-`graded_monomials` and `relation_rows` build the whole slice from
-`terms.canonical_brackets` on every call and keep nothing;
+`graded_monomials` and `relation_rows` run `terms.bracket_layers` on
+every call, build only what they return and keep nothing;
 `relation_rows` lists every instance of the slice, at every hole
 position: the reference the tower is tested on.
 """
@@ -47,7 +47,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import cache
-from itertools import count, product
+from itertools import product
 from math import factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
@@ -55,7 +55,6 @@ from .terms import (
     _walk,
     bracket_counts,
     bracket_layers,
-    canonical_brackets,
     commutator_length,
     distinct_descending,
     weight_multisets,
@@ -74,7 +73,6 @@ class MonomialBasis(NamedTuple):
     d: int
     w: int
     monomials: list  # ascending in the term order
-    index: dict  # Term -> position
 
 
 class RelationMatrix(NamedTuple):
@@ -108,10 +106,12 @@ def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
 def graded_monomials(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> MonomialBasis:
-    _slice_size(n, d, w, ceiling)
-    monomials, base = canonical_brackets(n, d, w)[:2]
-    del monomials[: base[w]]  # the lower weights
-    return MonomialBasis(n, d, w, monomials, dict(zip(monomials, count())))
+    size = _slice_size(n, d, w, ceiling)
+    terms = list(range(1, d + 1))  # terms[i] is the term with id i
+    for found in bracket_layers(n, d, w):
+        terms += [tuple(map(terms.__getitem__, ids)) for ids in found]  # children first
+    del terms[: len(terms) - size]  # the lower weights
+    return MonomialBasis(n, d, w, terms)
 
 
 def _contexts(n: int, w: int, v: int, pools) -> list:
@@ -176,12 +176,16 @@ def _unit(i: int) -> tuple:
     return 1, (i,), (1,)
 
 
-def _slice_rows(n: int, w: int, base: list, bracket: dict):
-    """Yield every nonzero relation row of the weight-w slice of a
-    `canonical_brackets` build (base, bracket), in order, on slice columns
-    (id minus base[w])."""
-    pools = {v: range(base[v], base[v + 1]) for v in range(1, w + 1)}
-    first = base[w]
+def _slice_rows(n: int, d: int, w: int):
+    """Yield every nonzero relation row of the weight-w slice, in order, on
+    slice columns: the ids of `bracket_layers(n, d, w)` minus the first
+    weight-w id."""
+    pools = {1: range(d)}
+    bracket: dict = {}  # child ids -> the bracket's id
+    for v, found in enumerate(bracket_layers(n, d, w), 2):
+        pools[v] = range(d + len(bracket), d + len(bracket) + len(found))
+        bracket.update(zip(found, pools[v]))
+    first = pools[w].start
     for v in range(2, w + 1):
         spines = _contexts(n, w, v, pools)
         for wb in range(2, v):  # all (M, Y) with weight([[M], Y]) == v
@@ -207,7 +211,7 @@ def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    rows = list(_slice_rows(n, w, *canonical_brackets(n, d, w)[1:]))
+    rows = list(_slice_rows(n, d, w))
     return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
 
 

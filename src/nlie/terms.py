@@ -324,22 +324,6 @@ def bracket_layers(n: int, d: int, w: int, children=distinct_descending):
         yield found
 
 
-def canonical_brackets(n: int, d: int, w: int):
-    """The canonical nonzero brackets of weights 1..w on d letters, interned
-    as the ids of `bracket_layers`: (terms, base, bracket).  terms[i] is the
-    term with id i, so comparing ids compares terms; weight v has the ids
-    range(base[v], base[v + 1]); bracket maps child ids to the bracket's."""
-    terms = list(range(1, d + 1))
-    base = [0] * (w + 2)
-    bracket: dict = {}
-    for v, found in enumerate(bracket_layers(n, d, w), 2):
-        base[v] = len(terms)
-        bracket.update(zip(found, range(len(terms), len(terms) + len(found))))
-        terms += [tuple(map(terms.__getitem__, ids)) for ids in found]  # children first
-    base[w + 1] = len(terms)
-    return terms, base, bracket
-
-
 def bracket_counts(n: int, d: int, w: int) -> list:
     """counts[v] = the number of brackets `bracket_layers(n, d, w)`
     builds at weight v, for v = 1..w (counts[0] is 0), without building

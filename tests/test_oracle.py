@@ -20,7 +20,8 @@ from nlie.oracle import (
 )
 from nlie.rewrite import collect
 from nlie.terms import (
-    canonical_brackets,
+    bracket_counts,
+    bracket_layers,
     canonicalize,
     check_term,
     distinct_descending,
@@ -42,12 +43,27 @@ def test_monomials_weight1_and_2():
         assert weight(t, 3) == 2
 
 
-def test_monomials_sorted_and_indexed():
+def test_monomials_sorted():
     b = graded_monomials(2, 3, 4)
     keys = [term_key(t, 2) for t in b.monomials]
     assert keys == sorted(keys)
-    for i, t in enumerate(b.monomials):
-        assert b.index[t] == i
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(3, 5, 1), (3, 2, 3), (2, 1, 3), (2, 1, 1), (2, 2, 7), (2, 4, 5), (3, 3, 5),
+     (3, 5, 4), (4, 4, 4), (4, 6, 3), (5, 5, 3)],
+)
+def test_monomials_are_the_whole_slice_in_term_order(cell):
+    # canonical, distinct, ascending in term_key and as many as
+    # bracket_counts: at w = 1, and where d < n leaves the slice empty
+    n, d, w = cell
+    monomials = graded_monomials(*cell).monomials
+    assert len(monomials) == bracket_counts(n, d, w)[w]
+    keys = [term_key(t, n) for t in monomials]
+    assert keys == sorted(set(keys))
+    for t in monomials:
+        assert canonicalize(t, n) == (1, t) and weight(t, n) == w
 
 
 def test_monomials_are_all_canonical_nonzero():
@@ -101,7 +117,7 @@ def _reference_rows(n, d, w):
     """Relation rows by the whole-tree path: plug every raw generalized-
     Jacobi term into every context tree, canonicalize the whole result,
     and accumulate it by column."""
-    index = graded_monomials(n, d, w).index
+    index = {t: i for i, t in enumerate(graded_monomials(n, d, w).monomials)}
 
     def choices(total, parts):
         out = []
@@ -622,21 +638,18 @@ def test_ceiling_enforced():
 
 def _counted_builds(monkeypatch) -> list:
     """A cold oracle with no tower cached and no cache file, whose slice
-    builds (calls of canonical_brackets) and tower builds are appended to
-    the returned list, as ("slice", cell) and ("tower", cell)."""
+    builds and tower builds (calls of bracket_layers, with the default
+    children source and with the tower's) are appended to the returned
+    list, as ("slice", cell) and ("tower", cell)."""
     builds = []
 
-    def counted(*args, **kwargs):
-        builds.append(("slice", args))
-        return canonical_brackets(*args, **kwargs)
-
-    def tower(*args):
-        builds.append(("tower", args))
-        return oracle._Tower(*args)
+    def counted(n, d, w, *children):
+        builds.append(("tower" if children else "slice", (n, d, w)))
+        return bracket_layers(n, d, w, *children)
 
     monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
-    monkeypatch.setattr(oracle, "canonical_brackets", counted)
-    monkeypatch.setattr(oracle, "_tower", functools.cache(tower))
+    monkeypatch.setattr(oracle, "bracket_layers", counted)
+    monkeypatch.setattr(oracle, "_tower", functools.cache(oracle._Tower))
     return builds
 
 
@@ -713,12 +726,28 @@ def test_cold_graded_dimension_keeps_only_its_tower(monkeypatch):
     assert before.currsize == after.currsize == 1 and after.hits == before.hits + 1
 
 
+def test_cold_graded_dimension_lists_only_the_slice_terms(monkeypatch):
+    # the listing holds the terms of weights 1..9 and the bracket build's
+    # child ids, and no child-ids -> id table or position map beside them:
+    # a cold (2,3,9) peaks at about 7.7 MiB
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(oracle, "_tower", functools.cache(oracle._Tower))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert graded_dimension(2, 3, 9) == 2184
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
+
+
 def test_refused_cell_is_never_built(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("built a cell above the ceiling")
 
     monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
-    monkeypatch.setattr(oracle, "canonical_brackets", never)
+    monkeypatch.setattr(oracle, "bracket_layers", never)
     with pytest.raises(InstanceCeilingExceeded, match="^4629138 monomials"):
         graded_dimension(2, 4, 10, ceiling=2000)
     with pytest.raises(InstanceCeilingExceeded, match="^29804208 monomials"):

@@ -12,7 +12,7 @@ from nlie.terms import (
     ArityError,
     TermSyntaxError,
     bracket_counts,
-    canonical_brackets,
+    bracket_layers,
     canonicalize,
     check_term,
     compare,
@@ -293,23 +293,19 @@ def test_lc_format():
 
 
 @pytest.mark.parametrize("cell", [(2, 3, 6), (3, 4, 4), (4, 5, 4), (5, 6, 3)])
-def test_canonical_brackets_ids_follow_term_order(cell):
+def test_bracket_layers_ids_follow_term_order(cell):
+    # generator k has id k - 1, and each weight's brackets take the next ids
+    # in their order: comparing ids compares the terms they stand for
     n, d, w = cell
-    terms_by_id, base, bracket = canonical_brackets(n, d, w)
-    assert terms_by_id[:d] == list(range(1, d + 1))
-    assert base[1] == 0 and base[w + 1] == len(terms_by_id)
+    terms_by_id = list(range(1, d + 1))
+    for v, found in enumerate(bracket_layers(n, d, w), 2):
+        assert len(set(found)) == len(found)
+        layer = [tuple(terms_by_id[c] for c in ids) for ids in found]
+        assert all(weight(t, n) == v for t in layer)
+        terms_by_id += layer
     assert all(is_canonical(t, n) for t in terms_by_id)
     keys = [term_key(t, n) for t in terms_by_id]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    index = {t: i for i, t in enumerate(terms_by_id)}
-    for v in range(1, w + 1):
-        for i in range(base[v], base[v + 1]):
-            assert weight(terms_by_id[i], n) == v
-    assert len(bracket) == len(terms_by_id) - d
-    assert list(bracket.values()) == list(range(d, len(terms_by_id)))  # keys in id order
-    for ids, i in bracket.items():
-        assert terms_by_id[i] == tuple(terms_by_id[c] for c in ids)
-        assert bracket[tuple(index[c] for c in terms_by_id[i])] == i
 
 
 def _weight_multisets_by_recursion(total, parts, cap):
@@ -343,9 +339,8 @@ def test_bracket_counts_size_each_weight_of_a_build():
     for n in range(2, 6):
         for d in range(1, 6):
             for w in range(1, 7 if n < 4 else 6):
-                _, base, _ = canonical_brackets(n, d, w)
-                sizes = [base[v + 1] - base[v] for v in range(1, w + 1)]
-                assert bracket_counts(n, d, w) == [0] + sizes
+                sizes = [len(found) for found in bracket_layers(n, d, w)]
+                assert bracket_counts(n, d, w) == [0, d] + sizes
 
 
 def test_deep_terms_print_parse_weigh_and_key():
