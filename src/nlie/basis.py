@@ -45,7 +45,7 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
-from .terms import Term, _key_children, _runs, _walk, bracket_layers
+from .terms import Term, _key_children, _runs, _walk, bracket_layers, layer_items
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -209,27 +209,14 @@ def iter_basic(
     cap: int = DEFAULT_ENUMERATION_CAP,
     text: bool = False,
 ):
-    """An iterator over what `enumerate_basic` lists.  The whole id build
-    runs, and any cap is refused, before this returns; the weights below
-    w are made and kept as terms or texts (each made once from its
-    children's), and weight w is made one item at a time as it is read."""
+    """An iterator over what `enumerate_basic` lists, by `terms.layer_items`
+    once the whole id build has run and any cap is refused."""
     count = _closed_count(n, d, w, mode, cap)
     if count is not None and count > cap:
         raise EnumerationCapExceeded(
             f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
         )
-    out = [f"x{k}" for k in range(1, d + 1)] if text else list(range(1, d + 1))
-    layers = list(_basics(n, d, w, mode, cap))  # the whole id build
-    if not layers:  # w == 1: the generators
-        return iter(out)
-    get = out.__getitem__  # out[i]: the term or text of id i
-
-    def items(found):
-        return (f"[{','.join(map(get, i))}]" if text else tuple(map(get, i)) for i in found)
-
-    for found in layers[:-1]:
-        out += items(found)
-    return items(layers[-1])
+    return layer_items(d, list(_basics(n, d, w, mode, cap)), text)
 
 
 def enumerate_basic(

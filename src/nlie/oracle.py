@@ -36,8 +36,8 @@ The tower is the only state the oracle keeps: one per cell (n, d, w),
 built on first use by `graded_dimension` or `membership`.  Each entry
 point sizes the slice against the ceiling first, by
 `terms.bracket_counts`, so a refused cell is never built.
-`graded_monomials` and `relation_rows` run `terms.bracket_layers` on
-every call, build only what they return and keep nothing;
+`graded_monomials` and `relation_rows` run `terms.bracket_layers` once
+per call, name its slice with `terms.layer_items` and keep nothing;
 `relation_rows` lists every instance of the slice, at every hole
 position: the reference the tower is tested on.
 """
@@ -57,6 +57,7 @@ from .terms import (
     bracket_layers,
     commutator_length,
     distinct_descending,
+    layer_items,
     weight_multisets,
 )
 
@@ -106,12 +107,8 @@ def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
 def graded_monomials(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> MonomialBasis:
-    size = _slice_size(n, d, w, ceiling)
-    terms = list(range(1, d + 1))  # terms[i] is the term with id i
-    for found in bracket_layers(n, d, w):
-        terms += [tuple(map(terms.__getitem__, ids)) for ids in found]  # children first
-    del terms[: len(terms) - size]  # the lower weights
-    return MonomialBasis(n, d, w, terms)
+    _slice_size(n, d, w, ceiling)  # refuse the cell before any build
+    return MonomialBasis(n, d, w, list(layer_items(d, bracket_layers(n, d, w))))
 
 
 def _contexts(n: int, w: int, v: int, pools) -> list:
@@ -176,13 +173,13 @@ def _unit(i: int) -> tuple:
     return 1, (i,), (1,)
 
 
-def _slice_rows(n: int, d: int, w: int):
+def _slice_rows(n: int, d: int, w: int, layers: list):
     """Yield every nonzero relation row of the weight-w slice, in order, on
-    slice columns: the ids of `bracket_layers(n, d, w)` minus the first
-    weight-w id."""
+    slice columns: the ids of `layers`, the `bracket_layers(n, d, w)`
+    build, minus the first weight-w id."""
     pools = {1: range(d)}
     bracket: dict = {}  # child ids -> the bracket's id
-    for v, found in enumerate(bracket_layers(n, d, w), 2):
+    for v, found in enumerate(layers, 2):
         pools[v] = range(d + len(bracket), d + len(bracket) + len(found))
         bracket.update(zip(found, pools[v]))
     first = pools[w].start
@@ -211,8 +208,9 @@ def relation_rows(
     n: int, d: int, w: int, ceiling: int = DEFAULT_CEILING
 ) -> RelationMatrix:
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
-    rows = list(_slice_rows(n, d, w))
-    return RelationMatrix(graded_monomials(n, d, w, ceiling=ceiling), rows)
+    layers = list(bracket_layers(n, d, w))
+    rows = list(_slice_rows(n, d, w, layers))
+    return RelationMatrix(MonomialBasis(n, d, w, list(layer_items(d, layers))), rows)
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -347,8 +345,10 @@ class _Tower:
 
     def normal_form(self, t, letters: dict, memo: dict) -> tuple:
         """(den, row): term t, generator g read as id letters[g], is row over
-        den, on standard ids.  The longest child form is put into each sorted
-        pick of the others; memo keeps forms under this letter map."""
+        den, on standard ids.  Every pick of one id from each child's row is
+        multiplied out: a pick of distinct ids is sorted, with the sign of
+        the sort, into its bracket's form.  memo keeps forms under this
+        letter map."""
         if isinstance(t, int):
             return 1, {letters[t]: 1}
         out = memo.get(t)

@@ -30,7 +30,6 @@ from .terms import (
     _canonical,
     _key_children,
     canonicalize,
-    check_term,
     is_leaf,
     lc_add,
     lc_merge,
@@ -108,7 +107,7 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
     """Replace the node at `path` by its Jacobi expansion; the result is a
     combination (each term canonicalized) congruent to t modulo the
     defining relations."""
-    check_term(t, n)
+    canonicalize(t, n)  # raises on a malformed t
     lc: dict = {}
     for summand in _summands(t, path, n):
         s, ct = canonicalize(summand, n)
@@ -156,7 +155,6 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
     Jacobi step re-keys only the path from the expanded bracket up to the
     root and reuses the keys of u off it.  Equal subterms of the result
     are one object."""
-    check_term(t, n)
     trace = RewriteTrace()
     s, ct, k = _canonical(t, n)
     if s == 0:

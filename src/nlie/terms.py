@@ -42,20 +42,6 @@ def is_leaf(t: Term) -> bool:
     return isinstance(t, int)
 
 
-def check_term(t: Term, n: int) -> None:
-    """Raise if t is not a well-formed term of arity n."""
-    if is_leaf(t):
-        if t < 1:
-            raise ValueError(f"generator index must be >= 1, got {t}")
-        return
-    if not isinstance(t, tuple):
-        raise TypeError(f"not a term: {t!r}")
-    if len(t) != n:
-        raise ArityError(f"bracket with {len(t)} children, expected {n}")
-    for c in t:
-        check_term(c, n)
-
-
 def parse(text: str, n: int) -> Term:
     """Parse `text` into a term of arity n.  Round-trips with format_term."""
     pos = 0
@@ -143,7 +129,7 @@ def _walk(t: Term, n: int, letters: list) -> tuple:
     to letters, and a 0 for each bracket that is not a tuple of n children
     whose keys strictly descend.  So t is a canonical term exactly when
     letters holds nothing below 1, and on d letters when nothing above d:
-    what `check_term` and `is_canonical` check, with no sort."""
+    what `is_canonical` checks, with no sort."""
     if isinstance(t, int):
         letters.append(t)
         return 1, 0, t
@@ -206,21 +192,28 @@ def _bracket(kids, keys, n: int):
 
 def _canonical(t: Term, n: int):
     """(sign, canonical term, its term_key), or (0, None, None) if t
-    vanishes.  Children's keys are reused for the parent's key."""
+    vanishes.  Children's keys are reused for the parent's key.  Raises
+    on a malformed term: ValueError on a leaf below 1, TypeError on a
+    bracket that is not a tuple, ArityError on one of other than n
+    children.  Every child is walked, also after one has vanished."""
     if is_leaf(t):
+        if t < 1:
+            raise ValueError(f"generator index must be >= 1, got {t}")
         return 1, t, (1, 0, t)
-    if not isinstance(t, (tuple, list)):
+    if not isinstance(t, tuple):
         raise TypeError(f"not a term: {t!r}")
+    if len(t) != n:
+        raise ArityError(f"bracket with {len(t)} children, expected {n}")
     sign = 1
     kids = []
     keys = []
     for c in t:
         s, cc, k = _canonical(c, n)
-        if s == 0:
-            return 0, None, None
         sign *= s
         kids.append(cc)
         keys.append(k)
+    if sign == 0:
+        return 0, None, None
     s, ordered, key = _bracket(kids, keys, n)
     if s == 0:
         return 0, None, None
@@ -231,7 +224,7 @@ def _canonical(t: Term, n: int):
 def canonicalize(t: Term, n: int) -> SignedTerm:
     """Sort the children of every bracket strictly descending, tracking the
     sign of the permutation; sign 0 means the term vanished (two equal
-    children somewhere)."""
+    children somewhere).  A malformed term raises, as in `_canonical`."""
     s, ct, _ = _canonical(t, n)
     return SignedTerm(s, ct)
 
@@ -324,6 +317,26 @@ def bracket_layers(n: int, d: int, w: int, children=distinct_descending):
         yield found
 
 
+def layer_items(d: int, layers, text: bool = False):
+    """The terms, or with `text` their `format_term` texts, of the top
+    weight of `layers`, a `bracket_layers` build on d letters: the lower
+    weights are made and kept as the build is read, each item once from
+    its children's, and the top weight's are made as they are read.  With
+    no layer, the generators."""
+    out = [f"x{k}" for k in range(1, d + 1)] if text else list(range(1, d + 1))
+    get = out.__getitem__  # out[i]: the term or text of id i
+
+    def items(found):
+        return (f"[{','.join(map(get, i))}]" if text else tuple(map(get, i)) for i in found)
+
+    top = None
+    for found in layers:
+        if top is not None:
+            out += items(top)
+        top = found
+    return iter(out) if top is None else items(top)
+
+
 def bracket_counts(n: int, d: int, w: int) -> list:
     """counts[v] = the number of brackets `bracket_layers(n, d, w)`
     builds at weight v, for v = 1..w (counts[0] is 0), without building
@@ -360,7 +373,8 @@ def lc_merge(lc: dict, other: dict, scale=1) -> None:
 
 
 def lc_from_term(t: Term, n: int, coeff=1) -> dict:
-    """Canonicalize t and return it as a one-term combination (or {})."""
+    """Canonicalize t and return it as a one-term combination (or {}).
+    Raises what `canonicalize` raises on a malformed term."""
     from fractions import Fraction  # here, so an enumeration never loads it
 
     s, ct = canonicalize(t, n)

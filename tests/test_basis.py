@@ -106,6 +106,18 @@ def test_enumerate_sorted_canonical_and_basic():
                     _check_enumeration(n, d, w, mode)
 
 
+@pytest.mark.parametrize(
+    "cell", [(3, 5, 1), (3, 2, 1), (3, 2, 2), (3, 2, 3), (2, 1, 1), (2, 1, 3), (4, 3, 4)]
+)
+@pytest.mark.parametrize("mode", [FULL, LEFT])
+def test_enumerate_at_weight_one_and_below_n_letters(cell, mode):
+    # the generators at w = 1, and the empty lists of d < n
+    _check_enumeration(*cell, mode)
+    n, d, w = cell
+    if w == 1:
+        assert enumerate_basic(n, d, w, mode) == list(range(1, d + 1))
+
+
 def _check_enumeration(n, d, w, mode):
     items = enumerate_basic(n, d, w, mode)
     assert len(items) == count_by_enumeration(n, d, w, mode)

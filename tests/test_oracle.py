@@ -23,7 +23,6 @@ from nlie.terms import (
     bracket_counts,
     bracket_layers,
     canonicalize,
-    check_term,
     distinct_descending,
     is_canonical,
     lc_merge,
@@ -494,7 +493,7 @@ def test_membership_empty_is_trivial():
 
 def _membership_by_three_walks(lc, n, d, ceiling=oracle.DEFAULT_CEILING):
     """membership as it checked its terms before one walk did: the
-    weights, then per term `check_term`, a count of its letters and
+    weights, then per term `canonicalize`, a count of its letters and
     `is_canonical`; then the same normal forms in the tower."""
     if not lc:
         return True
@@ -507,7 +506,7 @@ def _membership_by_three_walks(lc, n, d, ceiling=oracle.DEFAULT_CEILING):
     parts = {}
     for t, c in lc.items():
         try:
-            check_term(t, n)
+            canonicalize(t, n)
             counts = [0] * d
             for letter in _letters(t):
                 counts[letter - 1] += 1  # IndexError: a letter above d
@@ -569,7 +568,7 @@ def _outcome(check, lc, n, d, ceiling):
 def test_membership_checks_terms_as_three_walks_did():
     # seeded random combinations of slice monomials, random terms and
     # terms with a defect: the one-walk check gives the same verdict, or
-    # the same exception and text, as weight, check_term, the letter
+    # the same exception and text, as weight, canonicalize, the letter
     # count and is_canonical did
     rng = random.Random(19)
     cells = [(2, 2, 5), (2, 3, 4), (3, 3, 4), (3, 4, 3), (4, 4, 3)]
@@ -679,12 +678,12 @@ def test_cold_cell_builds_brackets_once(monkeypatch):
     assert len(graded_monomials(2, 2, 10).monomials) == LADDER[2, 2, 10][1]
     assert graded_dimension(2, 2, 10) == 99
     assert builds[2:] == [("slice", (2, 2, 10))] * 2
-    # a cold membership builds only the tower, relation_rows only listings:
-    # one for its rows, one for its monomials
+    # a cold membership builds only the tower, relation_rows one listing,
+    # for its rows and its monomials
     assert membership({(2, 1): Fraction(1)}, 2, 2) is False
     assert builds[4:] == [("tower", (2, 2, 2))]
     assert len(relation_rows(2, 2, 5).rows) > 0
-    assert builds[5:] == [("slice", (2, 2, 5))] * 2
+    assert builds[5:] == [("slice", (2, 2, 5))]
 
 
 def test_cold_oracle_generates_no_whole_slice_rows(monkeypatch):

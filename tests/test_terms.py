@@ -8,13 +8,13 @@ from conftest import random_term
 from nlie import basis, terms
 from nlie.basis import EnumerationMode, is_basic
 from nlie.oracle import graded_monomials
+from nlie.rewrite import collect, expand_jacobi
 from nlie.terms import (
     ArityError,
     TermSyntaxError,
     bracket_counts,
     bracket_layers,
     canonicalize,
-    check_term,
     compare,
     format_term,
     is_canonical,
@@ -70,14 +70,49 @@ def test_parse_arity_mismatch():
         parse("[x1,x2]", 3)
 
 
-def test_check_term_rejects_malformed_terms():
-    with pytest.raises(ValueError, match=">= 1, got 0"):
-        check_term((2, 0), 2)
-    with pytest.raises(TypeError, match="not a term"):
-        check_term((2, [1, 2]), 2)
-    with pytest.raises(ArityError):
-        check_term((2, (1, 2, 3)), 2)
-    check_term(((2, 1), 1), 2)
+def test_canonicalize_and_collect_reject_malformed_terms():
+    for f in (canonicalize, collect):
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            f((2, 0), 2)
+        with pytest.raises(TypeError, match="not a term"):
+            f((2, [1, 2]), 2)
+        with pytest.raises(ArityError):
+            f((2, (1, 2, 3)), 2)
+        f(((2, 1), 1), 2)
+
+
+# (n, a malformed term, the exception and text every entry raises on it).
+# The last three have a malformed child after a vanishing sibling, so the
+# walk must go on past a zero.
+MALFORMED = [
+    (2, (2, 0), ValueError, "generator index must be >= 1, got 0"),
+    (2, ((2, 1), -1), ValueError, "generator index must be >= 1, got -1"),
+    (3, 0, ValueError, "generator index must be >= 1, got 0"),
+    (2, (2,), ArityError, "bracket with 1 children, expected 2"),
+    (2, ((2, 1), (3, 2, 1)), ArityError, "bracket with 3 children, expected 2"),
+    (3, (3, 2, 1, 4), ArityError, "bracket with 4 children, expected 3"),
+    (3, ((3, 2), 2, 1), ArityError, "bracket with 2 children, expected 3"),
+    (2, [2, 1], TypeError, "not a term: [2, 1]"),
+    (2, ((2, 1), [2, 1]), TypeError, "not a term: [2, 1]"),
+    (2, "x1", TypeError, "not a term: 'x1'"),
+    (2, ((1, 1), (2, 0)), ValueError, "generator index must be >= 1, got 0"),
+    (2, ((1, 1), [2, 1]), TypeError, "not a term: [2, 1]"),
+    (2, ((1, 1), (2, 1, 3)), ArityError, "bracket with 3 children, expected 2"),
+]
+
+
+@pytest.mark.parametrize("n, t, exc, text", MALFORMED)
+def test_every_entry_raises_the_one_term_check(n, t, exc, text):
+    calls = [
+        lambda: canonicalize(t, n),
+        lambda: lc_from_term(t, n),
+        lambda: collect(t, n),
+        lambda: expand_jacobi(t, (), n),
+    ]
+    for call in calls:
+        with pytest.raises(exc) as info:
+            call()
+        assert type(info.value) is exc and str(info.value) == text
 
 
 def test_a_str_where_a_term_belongs_is_not_a_term():
@@ -92,7 +127,8 @@ def test_a_str_where_a_term_belongs_is_not_a_term():
     assert not is_canonical(((2, 1), [2, 1]), 2)
     with pytest.raises(ValueError, match="not a canonical term"):
         is_basic([2, 1], 2)
-    assert canonicalize([1, 2], 2) == (-1, (2, 1))
+    with pytest.raises(TypeError, match="not a term"):
+        canonicalize([1, 2], 2)
 
 
 def test_weight_and_length():
@@ -253,7 +289,7 @@ def test_one_walk_keys_weighs_and_checks_as_the_old_definitions():
         assert term_key(t, n) == _old_term_key(t, n)
         assert weight(t, n) == _old_weight(t, n)
         try:
-            check_term(t, n)
+            canonicalize(t, n)
         except (TypeError, ValueError) as exc:
             seen[type(exc)] += 1  # a list bracket, a wrong arity, a bad leaf
             assert not is_canonical(t, n)
