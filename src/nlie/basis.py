@@ -45,7 +45,9 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
-from .terms import Term, _key_children, _runs, _walk, bracket_layers, layer_items
+from .terms import (
+    Term, _int_text, _key_children, _runs, _walk, bracket_layers, layer_items,
+)
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -172,7 +174,8 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     tails = comb(d, n - 1)
     if tails > cap and d >= n:
         raise EnumerationCapExceeded(
-            f"at least {tails} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
+            f"at least {_int_text(tails)} basic commutators at (n={n}, d={d}, w={w}) "
+            f"exceeds cap {cap}"
         )
     return sum(
         (d - p[-1]) * comb(tails - r + w - 3, w - 2)
@@ -214,7 +217,7 @@ def iter_basic(
     count = _closed_count(n, d, w, mode, cap)
     if count is not None and count > cap:
         raise EnumerationCapExceeded(
-            f"{count} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
+            f"{_int_text(count)} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
         )
     return layer_items(d, list(_basics(n, d, w, mode, cap)), text)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from itertools import islice
 
 from . import counting
@@ -76,6 +77,21 @@ def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
     return counting.count_by_method(tag, n, d, w)
 
 
+class _Unprintable(ValueError):
+    """A value with more digits than Python's int-to-str limit."""
+
+
+def _value_text(method: str, value, n: int, d: int, w: int) -> str:
+    """str(value), or _Unprintable naming the method and cell."""
+    try:
+        return str(value)
+    except ValueError:  # raised only where Python limits int-to-str digits
+        raise _Unprintable(
+            f"method {method} cannot print its value at (n={n}, d={d}, w={w}): it has "
+            f"more than {sys.get_int_max_str_digits()} digits, Python's int-to-str limit"
+        ) from None
+
+
 def cmd_count(args) -> int:
     try:
         value = _cell_value(
@@ -94,14 +110,9 @@ def cmd_count(args) -> int:
         )
         return 1
     try:
-        text = str(value)
-    except ValueError:  # raised only where Python limits int-to-str digits
-        print(
-            f"method {args.method} cannot print its value at (n={args.n}, d={args.d}, "
-            f"w={args.w}): it has more than {sys.get_int_max_str_digits()} digits, "
-            "Python's int-to-str limit",
-            file=sys.stderr,
-        )
+        text = _value_text(args.method, value, args.n, args.d, args.w)
+    except _Unprintable as exc:
+        print(exc, file=sys.stderr)
         return 1
     print(text)
     if value < 0:
@@ -250,10 +261,12 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
                 values[tag] = _cell_value(tag, n, d, w, oracle_ceiling)
             except tuple(_bounds()):
                 values[tag] = None
-        flags = discrepancy_flags(n, d, values)
         row = [str(n), str(d), str(w)]
-        row += ["" if values[t] is None else str(values[t]) for t in counting.METHODS]
-        row.append("; ".join(flags))
+        row += [
+            "" if values[t] is None else _value_text(t, values[t], n, d, w)
+            for t in counting.METHODS
+        ]
+        row.append("; ".join(discrepancy_flags(n, d, values)))  # every value prints
         yield row
 
 
@@ -263,8 +276,12 @@ def cmd_compare(args) -> int:
     print("# reference count: WITT for n=2, LADDER for n=d, else ORACLE/ENUM_FULL")
     print("# empty fields: method not applicable or instance above the oracle ceiling")
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in compare_rows(args.n, args.d, args.w_max, args.oracle_ceiling):
-        writer.writerow(row)
+    try:
+        for row in compare_rows(args.n, args.d, args.w_max, args.oracle_ceiling):
+            writer.writerow(row)
+    except _Unprintable as exc:
+        print(exc, file=sys.stderr)
+        return 1
     return 0
 
 
@@ -335,12 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warning_line(message, *_):
+    """Shows a warning as one line on stderr, with no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        return 0
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Counting formulas for basic commutators: the Witt formula, the
 necklace-style upper bound, closed forms for weight 2/3/4/w, the n=d
 ladder (closed and recursive), the nonbasic-count decomposition, and the
-expansion of binomial coefficients into free-Lie graded dimensions.
+expansion of binomial coefficients into free-Lie graded dimensions, in
+closed form from the Stirling numbers of the first kind and the necklace
+identity d^k = sum_{s|k} s l_d(s).
 
 Everything is exact: integers and `fractions.Fraction` throughout.
 `fractions` and `nlie.terms` are imported by the functions that use
@@ -207,8 +209,9 @@ class NonbasicBreakdown(NamedTuple):
 
 def nonbasic_breakdown(n: int, d: int, w: int, l_source) -> NonbasicBreakdown:
     """Populate the nonbasic-count identities.  `l_source` is a callable
-    (n, d, w) -> int selecting which count feeds them.  The identity
-    total = L' + L'' + L* + kappa holds by construction and is asserted."""
+    (n, d, w) -> int selecting which count feeds them.  kappa is defined
+    as the remainder total - L' - L'' - L*, so total = L' + L'' + L* +
+    kappa holds by definition."""
     from .terms import commutator_length
 
     if n < 2 or d < 1 or w < 2:
@@ -226,7 +229,6 @@ def nonbasic_breakdown(n: int, d: int, w: int, l_source) -> NonbasicBreakdown:
     else:
         l_star = l_prev * comb(d, n - 1) - l_w
     kappa = total - l_prime - l_second - l_star
-    assert total == l_prime + l_second + l_star + kappa
     return NonbasicBreakdown(
         n, d, w, total, l_w, nonbasic, l_prime, l_second, l_star, kappa
     )
@@ -244,50 +246,22 @@ class LieExpansion(NamedTuple):
     coefficients: dict  # s -> Fraction
 
 
-def _witt_poly(s: int) -> list[Fraction]:
-    """Coefficient list (index = degree) of l_d(s) as a polynomial in d."""
-    from fractions import Fraction
-
-    coeffs = [Fraction(0)] * (s + 1)
-    for r in divisors(s):
-        coeffs[s // r] += Fraction(moebius(r), s)
-    return coeffs
-
-
-def _binomial_poly(n: int) -> list[Fraction]:
-    """Coefficient list of C(d, n) = d(d-1)...(d-n+1)/n! in d."""
-    from fractions import Fraction
-
-    poly = [Fraction(1)]
-    for i in range(n):
-        # multiply by (d - i)
-        new = [Fraction(0)] * (len(poly) + 1)
-        for deg, c in enumerate(poly):
-            new[deg + 1] += c
-            new[deg] -= i * c
-        poly = new
-    return [c / factorial(n) for c in poly]
-
-
 def lie_expansion(n: int) -> LieExpansion:
-    """Triangular solve of C(d, n) = sum_s c_s l_d(s) in the indeterminate
-    d (l_d(s) has degree s, so the system is triangular)."""
+    """C(d, n) = sum_k s(n, k) d^k / n! with s(n, k) the signed Stirling
+    numbers of the first kind, and d^k = sum_{s|k} s l_d(s) counts the
+    words of length k by primitive period, so c_s = s/n! sum_{s|k} s(n, k).
+    Keys run s = n..1."""
     from fractions import Fraction
 
     if n < 1:
         raise ValueError("lie_expansion requires n >= 1")
-    target = _binomial_poly(n)
-    coeffs: dict[int, Fraction] = {}
-    residual = list(target)
-    for s in range(n, 0, -1):
-        lead = residual[s] if s < len(residual) else Fraction(0)
-        wp = _witt_poly(s)
-        c = lead / wp[s]
-        coeffs[s] = c
-        for deg, a in enumerate(wp):
-            residual[deg] -= c * a
-    assert all(a == 0 for a in residual), "expansion residual nonzero"
-    return LieExpansion(n, coeffs)
+    stirling = [1]  # s(i, k) by k, for d(d-1)...(d-i+1)
+    for i in range(n):
+        stirling = [a - i * b for a, b in zip([0] + stirling, stirling + [0])]
+    return LieExpansion(
+        n,
+        {s: Fraction(s * sum(stirling[s::s]), factorial(n)) for s in range(n, 0, -1)},
+    )
 
 
 def count_via_lie(n: int, d: int, w: int) -> Fraction:

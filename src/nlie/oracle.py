@@ -52,6 +52,7 @@ from math import factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from .terms import (
+    _int_text,
     _walk,
     bracket_counts,
     bracket_layers,
@@ -99,7 +100,7 @@ def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
     size = bracket_counts(n, d, w)[w]
     if size > ceiling:
         raise InstanceCeilingExceeded(
-            f"{size} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
+            f"{_int_text(size)} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
         )
     return size
 
@@ -398,8 +399,10 @@ def graded_dimension(
     computed cells are stored there as one JSON record per cell: {n, d, w,
     basis_size, rank, dim}.  A readable record of the same cell is
     authoritative; an unreadable one, or one naming another cell, is
-    reported with a warning, recomputed and rewritten.  A record is read
-    only once the cell has passed the instance check and the ceiling."""
+    reported with a warning, recomputed and rewritten.  A record that
+    cannot be written is reported with a warning, and the computed value
+    is returned.  A record is read only once the cell has passed the
+    instance check and the ceiling."""
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build or read
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     cache_path = None
@@ -411,7 +414,6 @@ def graded_dimension(
     size = len(graded_monomials(n, d, w, ceiling=ceiling).monomials)
     dim = _tower(n, d, w).dim
     if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
         rec = {
             "n": n,
             "d": d,
@@ -439,7 +441,7 @@ def _read_cell(path: str, n: int, d: int, w: int) -> Optional[int]:
             problem = f"holds no dimension (dim={rec['dim']!r})"
         else:
             return rec["dim"]
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # no file, or no directory
         return None
     except (OSError, ValueError, TypeError, KeyError) as exc:
         problem = f"is unreadable ({exc!r})"
@@ -448,21 +450,28 @@ def _read_cell(path: str, n: int, d: int, w: int) -> Optional[int]:
 
 
 def _write_cell(path: str, rec: dict) -> None:
-    """Write a record to a temp file in the same directory, flushed to
-    disk, then rename it over `path`: readers see the old record or the
-    whole new one, never a truncated file."""
+    """Write a record to a temp file in the same directory, made if need
+    be, flushed to disk, then rename it over `path`: readers see the old
+    record or the whole new one, never a truncated file.  A write that
+    fails is reported with a warning, and the cell's value stands."""
     import json
     import tempfile  # only a cache write needs them; they slow a cold import
+    import warnings
 
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(rec, fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        problem = f"is unwritable ({exc!r}); the value is not cached"
+        warnings.warn(f"oracle cache file {path} {problem}", RuntimeWarning)
     finally:
-        if os.path.exists(tmp):  # left behind only if a step above failed
+        if tmp and os.path.exists(tmp):  # left behind only if a step above failed
             os.unlink(tmp)
 
 

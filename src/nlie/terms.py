@@ -21,7 +21,7 @@ occurrences) of any weight-w term is `commutator_length(n, w)`.
 from __future__ import annotations
 
 import itertools
-from math import comb, prod
+from math import comb, log10, prod
 from operator import gt, itemgetter
 from typing import NamedTuple, Optional, Union
 
@@ -57,7 +57,7 @@ def parse(text: str, n: int) -> Term:
         if ch == "x":
             pos += 1
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in "0123456789":  # INT: ASCII digits only
                 pos += 1
             if start == pos:
                 err("expected generator index after 'x'")
@@ -351,6 +351,17 @@ def bracket_counts(n: int, d: int, w: int) -> list:
             )
         )
     return counts
+
+
+def _int_text(v: int) -> str:
+    """str(v) for a bound message, or v's digit count where v has more
+    digits than Python's int-to-str limit lets str print."""
+    try:
+        return str(v)
+    except ValueError:
+        digits = int(abs(v).bit_length() * log10(2)) + 1  # this or one more
+        digits -= 10 ** (digits - 1) > abs(v)
+        return f"<a {digits}-digit number>"
 
 
 # ---------------------------------------------------------------------------

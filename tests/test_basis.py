@@ -333,6 +333,21 @@ def test_left_normed_count_refuses_more_tails_than_the_cap_unsummed():
     assert count_by_enumeration(3, 2, 4, LEFT, cap=0) == 0
 
 
+def test_a_cap_message_names_an_unprintable_count_by_its_digit_count():
+    # C(10^2200, 2) tails: 4400 digits, past Python's default int-to-str limit
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        count_by_enumeration(3, 10**2200, 3, LEFT)
+    assert str(exc.value).startswith("at least <a 4400-digit number> basic commutators at")
+    assert str(exc.value).endswith(", w=3) exceeds cap 200000")
+    # 5 tails at an 1101-digit weight: about w^4 / 24 basics, 4400 digits
+    w = 10**1100
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        enumerate_basic(2, 5, w, LEFT)
+    assert str(exc.value) == (
+        f"<a 4400-digit number> basic commutators at (n=2, d=5, w={w}) exceeds cap 200000"
+    )
+
+
 def _count_kept(monkeypatch, mode):
     """Spy on the build: per weight, the brackets the mode's source has
     yielded, and whether the build finished."""

@@ -69,6 +69,66 @@ def test_count_above_the_int_str_limit_is_one_line_error(capsys):
     )
 
 
+# (argv, the start of the one stderr line): numbers past Python's
+# int-to-str limit (4300 digits) in a bound message, and indices that are
+# digits to str.isdigit but not to the grammar's INT
+ONE_LINE_ERRORS = [
+    (("count", "--n", "2", "--d", "1" + "0" * 1000, "--w", "5", "--method", "oracle"),
+     "method oracle stopped by the oracle ceiling: <a 5000-digit number> monomials at "),
+    (("count", "--n", "3", "--d", "1" + "0" * 2200, "--w", "3", "--method", "enum-left"),
+     "method enum-left stopped by the enumeration cap: at least <a 4400-digit number> "),
+    (("enumerate", "--n", "2", "--d", "5", "--w", "1" + "0" * 1100, "--mode", "left"),
+     "<a 4400-digit number> basic commutators at (n=2, d=5, w=1000"),
+    (("rewrite", "--n", "2", "[x\uff11,x2]"),
+     "parse error: expected generator index after 'x' at position 2"),
+    (("rewrite", "--n", "2", "x\u0663"),
+     "parse error: expected generator index after 'x' at position 1"),
+    (("rewrite", "--n", "2", "[x\u00b2,x1]"),
+     "parse error: expected generator index after 'x' at position 2"),
+    (("rewrite", "--n", "2", "[x\u0661,x2]"),
+     "parse error: expected generator index after 'x' at position 2"),
+]
+
+
+@pytest.mark.parametrize("argv, start", ONE_LINE_ERRORS, ids=range(len(ONE_LINE_ERRORS)))
+def test_bad_input_is_one_line_error(capsys, argv, start):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_compare_stops_at_the_first_unprintable_value(capsys):
+    d = "1" + "0" * 1000  # WITT at w = 5 has 5000 digits; at w = 4, 4000
+    code, out, err = run(capsys, "compare", "--n", "2", "--d", d, "--w-max", "5")
+    assert code == 1
+    assert err == (
+        f"method WITT cannot print its value at (n=2, d={d}, w=5): it has more "
+        f"than {sys.get_int_max_str_digits()} digits, Python's int-to-str limit\n"
+    )
+    rows = parse_csv(out)
+    assert rows[0][:4] == ["n", "d", "w", "WITT"]
+    assert [r[2] for r in rows[1:]] == ["1", "2", "3", "4"]  # the rows before that cell
+    assert [r[counting.METHODS.index(counting.ORACLE) + 3] for r in rows[1:]] == [""] * 4
+
+
+def test_count_with_a_cache_path_that_is_a_file(tmp_path, monkeypatch):
+    # the real entry point, so the warning is shown as Python shows it
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    monkeypatch.setenv("NLIE_ORACLE_CACHE", str(path))
+    proc = python_with_src(
+        "-m", "nlie.cli", "count", "--n", "2", "--d", "2", "--w", "4", "--method", "oracle",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (0, "3\n")
+    assert err == (
+        f"warning: oracle cache file {path / 'cell_n2_d2_w4.json'} is unwritable "
+        "(FileExistsError(17, 'File exists')); the value is not cached\n"
+    )
+    assert path.read_text() == ""
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--d", "3", "--w", "3")
     assert code == 0

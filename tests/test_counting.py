@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -172,6 +172,39 @@ def test_lie_expansion_identity_numerically():
         for d in range(1, 12):
             total = sum(c * witt(d, s) for s, c in exp.coefficients.items() if c)
             assert total == comb(d, n)
+
+
+def _solved_lie_expansion(n):
+    """The expansion by a triangular solve in the indeterminate d, as
+    lie_expansion computed it before its closed form: l_d(s) has degree s,
+    so the leading coefficient of what is left fixes c_s, s = n..1."""
+
+    def witt_poly(s):  # l_d(s) as coefficients by degree
+        coeffs = [Fraction(0)] * (s + 1)
+        for r in divisors(s):
+            coeffs[s // r] += Fraction(moebius(r), s)
+        return coeffs
+
+    residual = [Fraction(1)]  # C(d, n) = d(d-1)...(d-n+1)/n!
+    for i in range(n):
+        residual = [a - i * b for a, b in zip([0] + residual, residual + [0])]
+    residual = [c / factorial(n) for c in residual]
+    coeffs = {}
+    for s in range(n, 0, -1):
+        wp = witt_poly(s)
+        coeffs[s] = residual[s] / wp[s]
+        for deg, a in enumerate(wp):
+            residual[deg] -= coeffs[s] * a
+    assert not any(residual)
+    return coeffs
+
+
+def test_lie_expansion_equals_the_triangular_solve():
+    for n in range(1, 31):
+        got = lie_expansion(n).coefficients
+        want = _solved_lie_expansion(n)
+        assert list(got.items()) == list(want.items())  # key order s = n..1
+        assert all(type(c) is Fraction for c in got.values())
 
 
 def test_nonbasic_breakdown_identity():

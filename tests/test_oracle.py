@@ -755,6 +755,16 @@ def test_refused_cell_is_never_built(monkeypatch):
         membership({(2, 1): Fraction(1)}, 2, 4, ceiling=0)
 
 
+def test_a_ceiling_message_names_an_unprintable_size_by_its_digit_count(monkeypatch):
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    d = 10**1000  # about 0.87 d^5 monomials at weight 5: 5000 digits
+    with pytest.raises(InstanceCeilingExceeded) as exc:
+        graded_dimension(2, d, 5)
+    assert str(exc.value) == (
+        f"<a 5000-digit number> monomials at (n=2, d={d}, w=5) exceeds ceiling 200000"
+    )
+
+
 def test_bad_instance_rejected():
     with pytest.raises(ValueError):
         graded_monomials(1, 2, 2)
@@ -818,6 +828,33 @@ def test_cache_record_without_a_dimension_is_recomputed(tmp_path, dim, oracle_ca
         assert graded_dimension(2, 2, 5) == 6
     rec = json.loads(path.read_text())
     assert (rec["n"], rec["d"], rec["w"], rec["dim"]) == (2, 2, 5, 6)
+
+
+def test_a_cache_path_that_is_a_file_warns_once_and_keeps_the_value(tmp_path, monkeypatch):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    monkeypatch.setenv(oracle.CACHE_ENV_VAR, str(path))
+    with pytest.warns(RuntimeWarning) as caught:
+        assert graded_dimension(2, 2, 4) == 3
+    # a file holds no record, as a missing directory holds none: one warning
+    assert [str(w.message) for w in caught] == [
+        f"oracle cache file {path / 'cell_n2_d2_w4.json'} is unwritable "
+        f"(FileExistsError(17, 'File exists')); the value is not cached"
+    ]
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.replace"])
+def test_a_failed_cache_write_warns_and_keeps_the_value(tmp_path, oracle_cache, monkeypatch, target):
+    # an unwritable directory fails at mkstemp; a full disk or a lost
+    # rename fails once the temp file exists, which is then removed
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(target, refuse)
+    with pytest.warns(RuntimeWarning, match=r"is unwritable \(PermissionError\(13"):
+        assert graded_dimension(2, 2, 5) == 6
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from nlie.oracle import graded_monomials
 from nlie.rewrite import collect, expand_jacobi
 from nlie.terms import (
     ArityError,
+    _int_text,
     TermSyntaxError,
     bracket_counts,
     bracket_layers,
@@ -61,6 +63,35 @@ def test_parse_errors_report_position():
         parse("[x1,", 2)
     with pytest.raises(TermSyntaxError, match=">= 1 at position 2"):
         parse("x0", 2)
+    # INT is ASCII 0-9: a fullwidth 1, an Arabic-Indic 3 or 1 and a
+    # superscript 2 are not digits of an index
+    for text, pos in [("[x\uff11,x2]", 2), ("x\u0663", 1), ("[x\u00b2,x1]", 2),
+                      ("[x\u0661,x2]", 2)]:
+        with pytest.raises(TermSyntaxError) as err:
+            parse(text, 2)
+        assert str(err.value) == f"expected generator index after 'x' at position {pos}"
+    with pytest.raises(TermSyntaxError, match="trailing"):
+        parse("x1\uff12", 2)
+
+
+def _digits(v):
+    """The digit count of v > 0, printing only numbers below the limit."""
+    k = 0
+    while v >= 10**1000:
+        v //= 10**1000
+        k += 1000
+    return k + len(str(v))
+
+
+def test_int_text_names_an_unprintable_number_by_its_digit_count():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int-to-str limit in this interpreter")
+    for v in (0, 7, -12, 10 ** (limit - 1), 10**limit - 1):
+        assert _int_text(v) == str(v)  # as before: byte-identical
+    for v in (10**limit, 10**limit + 1, 2 * 10**limit, -(10**limit), 2**20000, 10**12000 - 1):
+        assert _int_text(v) == f"<a {_digits(abs(v))}-digit number>"
+    assert _int_text(10**limit) == f"<a {limit + 1}-digit number>"
 
 
 def test_parse_arity_mismatch():
