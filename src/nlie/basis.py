@@ -46,7 +46,7 @@ from math import comb
 from operator import itemgetter
 
 from .terms import (
-    Term, _int_text, _key_children, _runs, _walk, bracket_layers, layer_items,
+    Term, _cell_text, _int_text, _key_children, _runs, _walk, bracket_layers, layer_items,
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -160,7 +160,7 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     Raises ValueError on a bad instance, so each entry point checks it
     before any other work."""
     if n < 2 or d < 1 or w < 1:
-        raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
+        raise ValueError(f"bad instance {_cell_text(n, d, w)}")
     if w == 1:
         return d
     if w == 2:
@@ -168,13 +168,13 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     if mode is not EnumerationMode.LEFT_NORMED:
         if comb(d, n) > cap:  # the build's weight 2: every core is basic
             raise EnumerationCapExceeded(
-                f"basic commutators of weight 2 at (n={n}, d={d}, w={w}) exceed cap {cap}"
+                f"basic commutators of weight 2 at {_cell_text(n, d, w)} exceed cap {cap}"
             )
         return None
     tails = comb(d, n - 1)
     if tails > cap and d >= n:
         raise EnumerationCapExceeded(
-            f"at least {_int_text(tails)} basic commutators at (n={n}, d={d}, w={w}) "
+            f"at least {_int_text(tails)} basic commutators at {_cell_text(n, d, w)} "
             f"exceeds cap {cap}"
         )
     return sum(
@@ -196,7 +196,7 @@ def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
             kept[v] += len(chunk)
             if kept[v] > cap:
                 raise EnumerationCapExceeded(
-                    f"basic commutators of weight {v} at (n={n}, d={d}, w={w}) "
+                    f"basic commutators of weight {v} at {_cell_text(n, d, w)} "
                     f"exceed cap {cap}"
                 )
         return out
@@ -217,7 +217,7 @@ def iter_basic(
     count = _closed_count(n, d, w, mode, cap)
     if count is not None and count > cap:
         raise EnumerationCapExceeded(
-            f"{_int_text(count)} basic commutators at (n={n}, d={d}, w={w}) exceeds cap {cap}"
+            f"{_int_text(count)} basic commutators at {_cell_text(n, d, w)} exceeds cap {cap}"
         )
     return layer_items(d, list(_basics(n, d, w, mode, cap)), text)
 

@@ -32,10 +32,13 @@ a denominator, and a row clears its parts' denominators with their lcm.
 Rows are fed in ascending order of their largest column, where each pivot
 sits, which limits fill-in.
 
-The tower is the only state the oracle keeps: one per cell (n, d, w),
-built on first use by `graded_dimension` or `membership`.  Each entry
-point sizes the slice against the ceiling first, by
-`terms.bracket_counts`, so a refused cell is never built.
+The tower is the only state the oracle keeps, beside slice sizes: one
+per cell (n, d, w), built on first use by `graded_dimension` or
+`membership` and kept for the 16 cells used last, each with
+`membership`'s memo of the normal forms it has computed, at most
+`_MEMO_ENTRIES` of them.  Each entry point sizes the slice against the
+ceiling first, by `terms.bracket_counts`, kept for the 16 cells sized
+last, so a refused cell is never built.
 `graded_monomials` and `relation_rows` run `terms.bracket_layers` once
 per call, name its slice with `terms.layer_items` and keep nothing;
 `relation_rows` lists every instance of the slice, at every hole
@@ -46,12 +49,13 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from .terms import (
+    _cell_text,
     _int_text,
     _walk,
     bracket_counts,
@@ -91,16 +95,21 @@ def _choices(total: int, parts: int, pools) -> list:
     return out
 
 
+# (n, d, w) -> its number of weight-w monomials, for the 16 cells sized
+# last: membership sizes its cell on every call
+_slice_count = lru_cache(maxsize=16)(lambda n, d, w: bracket_counts(n, d, w)[w])
+
+
 def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
     """The number of weight-w monomials, counted without a build.  Raises
     ValueError on a bad instance and InstanceCeilingExceeded when the size
     is above `ceiling`."""
     if n < 2 or d < 1 or w < 1:
-        raise ValueError(f"bad instance (n={n}, d={d}, w={w})")
-    size = bracket_counts(n, d, w)[w]
+        raise ValueError(f"bad instance {_cell_text(n, d, w)}")
+    size = _slice_count(n, d, w)
     if size > ceiling:
         raise InstanceCeilingExceeded(
-            f"{_int_text(size)} monomials at (n={n}, d={d}, w={w}) exceeds ceiling {ceiling}"
+            f"{_int_text(size)} monomials at {_cell_text(n, d, w)} exceeds ceiling {ceiling}"
         )
     return size
 
@@ -300,6 +309,7 @@ class _Tower:
         self.standard: dict = {1: range(d)}
         self.bracket: dict = {}
         self.forms = {i: _unit(i) for i in range(d)}
+        self.memos: dict = {}  # letter order -> {term: normal form}, for membership
         for v, found in enumerate(bracket_layers(n, d, w, self._children), 2):
             ids = range(len(self.content), len(self.content) + len(found))
             self.bracket.update(zip(found, ids))
@@ -348,8 +358,9 @@ class _Tower:
         """(den, row): term t, generator g read as id letters[g], is row over
         den, on standard ids.  Every pick of one id from each child's row is
         multiplied out: a pick of distinct ids is sorted, with the sign of
-        the sort, into its bracket's form.  memo keeps forms under this
-        letter map."""
+        the sort, into its bracket's form.  memo maps each bracket of t
+        already done under this letter map to its form, and gains the rest;
+        `membership` passes its tower's memo of the letter order."""
         if isinstance(t, int):
             return 1, {letters[t]: 1}
         out = memo.get(t)
@@ -371,8 +382,12 @@ class _Tower:
 
 
 # (n, d, w) -> its tower, built once whatever ceilings ask for the cell:
-# callers check theirs first, with _slice_size
-_tower = cache(_Tower)
+# callers check theirs first, with _slice_size.  The 16 most recently used
+# cells are kept: a `compare` table reads up to 9, rewrite-corpus 6
+_tower = lru_cache(maxsize=16)(_Tower)
+
+# the most normal forms one tower's memos keep, summed over letter orders
+_MEMO_ENTRIES = 1 << 13
 
 
 def _arrangements(lam: tuple) -> int:
@@ -483,36 +498,54 @@ def membership(
     monomials of one slice; the empty combination is trivially a member.
     Each content part is taken to its sorted content by relabeling its
     letters, an automorphism: each term's normal form in the tower reads
-    the letters mapped at its leaves."""
+    the letters mapped at its leaves.
+
+    The forms are memoized in the tower, one memo per letter order, and
+    kept across calls.  All of a tower's memos together hold at most
+    _MEMO_ENTRIES = 8192 forms.  A part adds at most one form per bracket
+    of each of its terms; a part that alone could pass the bound gets a
+    memo of its own, dropped after, and before any other part that could
+    pass it the memos are all emptied.
+    A form is a row over the standard ids of one letter content, so a
+    row holds at most that content's dimension.  On the rewrite-corpus
+    benchmark's cells a form takes about 0.4 KB, some 3.5 MB for a full
+    memo; with the 16 towers kept, at most 16 such memos are held."""
     from fractions import Fraction
 
     if not lc:
         return True
-    walked = []  # (term, coefficient, the letters _walk lists)
+    walked = []  # (term, the letters _walk lists)
     weights = set()
-    for t, c in lc.items():
+    for t in lc:
         leaves: list = []
         weights.add(_walk(t, n, leaves)[0])
-        walked.append((t, c, leaves))
+        walked.append((t, leaves))
     if len(weights) != 1:
         raise ValueError(f"mixed-weight combination: weights {sorted(weights)}")
     w = weights.pop()
     _slice_size(n, d, w, ceiling)  # refuse the cell before any build
     # clear denominators to an integer vector
-    denom = lcm(*(Fraction(c).denominator for c in lc.values()))
+    coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in lc.values()]
+    denom = lcm(*(c.denominator for c in coeffs))
     parts: dict = {}  # sorted letters -> {term: integer coefficient}
-    for t, c, leaves in walked:
+    for (t, leaves), c in zip(walked, coeffs):
         if min(leaves) < 1 or max(leaves) > d:
             raise ValueError(f"term outside the monomial slice: {t!r}")
-        val = int(Fraction(c) * denom)
-        if val:
-            parts.setdefault(tuple(sorted(leaves)), {})[t] = val
+        if c:
+            parts.setdefault(tuple(sorted(leaves)), {})[t] = c.numerator * (denom // c.denominator)
     tower = _tower(n, d, w)
+    memos = tower.memos
     for content, part in parts.items():
         counts = Counter(content)
-        order = sorted(range(1, d + 1), key=lambda g: -counts[g])  # by falling count
+        order = tuple(sorted(range(1, d + 1), key=lambda g: -counts[g]))  # by falling count
         letters = {g: k for k, g in enumerate(order)}  # generator order[k] becomes id k
-        memo: dict = {}
+        room = (w - 1) * len(part)  # a new entry at most per bracket of each term
+        if room > _MEMO_ENTRIES:
+            memo: dict = {}  # the part alone could pass the bound
+        else:
+            if sum(map(len, memos.values())) + room > _MEMO_ENTRIES:
+                memos.clear()  # full
+            memo = memos.setdefault(order, {})
         forms = [(tower.normal_form(t, letters, memo), val) for t, val in part.items()]
         sums = [(den, [(val * c, k) for k, c in row.items()]) for (den, row), val in forms]
         if _combine(sums)[1]:

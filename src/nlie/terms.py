@@ -364,6 +364,12 @@ def _int_text(v: int) -> str:
         return f"<a {digits}-digit number>"
 
 
+def _cell_text(n: int, d: int, w: int) -> str:
+    """The cell as a bound message names it, "(n=.., d=.., w=..)", each
+    number by `_int_text`."""
+    return f"(n={_int_text(n)}, d={_int_text(d)}, w={_int_text(w)})"
+
+
 # ---------------------------------------------------------------------------
 # Linear combinations: plain dicts mapping canonical terms to exact rationals.
 # No zero coefficients are ever stored.

@@ -348,6 +348,16 @@ def test_a_cap_message_names_an_unprintable_count_by_its_digit_count():
     )
 
 
+def test_a_cap_message_names_an_unprintable_cell_by_its_digit_count():
+    # d itself is past the int-to-str limit, and so are its C(d, 2) tails
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        count_by_enumeration(3, 10**5000, 3, LEFT)
+    assert str(exc.value) == (
+        "at least <a 10000-digit number> basic commutators at "
+        "(n=3, d=<a 5001-digit number>, w=3) exceeds cap 200000"
+    )
+
+
 def _count_kept(monkeypatch, mode):
     """Spy on the build: per weight, the brackets the mode's source has
     yielded, and whether the build finished."""

@@ -25,6 +25,7 @@ from nlie.terms import (
     canonicalize,
     distinct_descending,
     is_canonical,
+    lc_from_term,
     lc_merge,
     term_key,
     weight,
@@ -607,6 +608,90 @@ def test_membership_refuses_a_str_where_a_term_belongs():
             membership(lc, 2, 2)
 
 
+def _congruence(t, n) -> dict:
+    """t - collect(t): a member of the relation span."""
+    lc, trace = collect(t, n)
+    assert not trace.capped
+    diff = lc_from_term(t, n)
+    lc_merge(diff, lc, -1)
+    return diff
+
+
+def _memo_size(cell) -> int:
+    return sum(map(len, oracle._tower(*cell).memos.values()))
+
+
+def test_a_repeated_membership_computes_no_normal_form_again(monkeypatch):
+    # the tower keeps its normal forms across calls: asked again, the
+    # same combination is answered from the memo alone
+    misses = []
+    real = oracle._Tower.normal_form
+
+    def spy(self, t, letters, memo):
+        if not isinstance(t, int) and t not in memo:
+            misses.append(t)
+        return real(self, t, letters, memo)
+
+    monkeypatch.setattr(oracle._Tower, "normal_form", spy)
+    lc = _congruence(((((((2, 1), 3), 1), 2), 3), 1), 2)
+    oracle._tower(2, 3, 7).memos.clear()
+    assert membership(lc, 2, 3)
+    assert len(misses) == _memo_size((2, 3, 7)) > len(lc)
+    misses.clear()
+    assert membership(lc, 2, 3)
+    assert misses == []
+
+
+@pytest.mark.parametrize("bound", [0, 8, 64, 512])
+def test_the_memo_keeps_its_bound_and_answers_as_a_fresh_one(monkeypatch, bound):
+    # seeded combinations of congruences on the collect fuzz cells, at times
+    # plus a term of their own, which may leave the span: the answers are
+    # those of fresh memos, and no tower's memos together pass the bound
+    monkeypatch.setattr(oracle, "_MEMO_ENTRIES", bound)
+    cells = [(2, 2, 7), (3, 3, 5), (2, 3, 6), (3, 4, 5), (4, 5, 4)]
+    for cell in cells:
+        oracle._tower(*cell).memos.clear()
+    rng = random.Random(bound)
+    seen = Counter()
+    for _ in range(120):
+        n, d, w = cell = rng.choice(cells)
+        lc: dict = {}
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            diff = _congruence(random_term(rng, n, d, w), n)
+            if diff and rng.random() < 0.3:
+                lc_merge(diff, {rng.choice(list(diff)): Fraction(1, 2)})
+            lc_merge(lc, diff, rng.randint(1, 3))
+        before = _memo_size(cell)
+        assert membership(lc, n, d) == _membership_by_three_walks(lc, n, d), lc
+        size = _memo_size(cell)
+        assert size <= bound
+        seen["kept"] += size > 0
+        seen["emptied"] += size < before
+    # from 64 on the memos keep forms; at 64 they fill up and are emptied
+    assert (seen["kept"] > 0, seen["emptied"] > 0) == (bound >= 64, bound == 64)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_combinations_of_two_letter_orders_asked_in_turn(reverse):
+    # [[[x3,x2],x1],x1] reads its letters in the order 1, 2, 3 and
+    # [[[x3,x2],x2],x1] in the order 2, 1, 3: the same bracket [x3,x2] has
+    # two normal forms, each kept in its order's memo
+    tower = oracle._tower(2, 3, 4)
+    tower.memos.clear()
+    asks = []
+    for t in [(((3, 2), 1), 1), (((3, 2), 2), 1)]:
+        member = _congruence(t, 2)
+        off = dict(member)
+        lc_merge(off, {t: Fraction(1)})
+        asks += [(member, True), (off, False)]
+    if reverse:
+        asks = asks[2:] + asks[:2]
+    for lc, verdict in asks:
+        assert membership(lc, 2, 3) is verdict
+        assert _membership_by_three_walks(lc, 2, 3) is verdict
+    assert set(tower.memos) == {(1, 2, 3), (2, 1, 3)}
+
+
 def test_relabeling_invariance():
     # collecting identities survive any permutation of the generators
     rng = random.Random(41)
@@ -763,6 +848,50 @@ def test_a_ceiling_message_names_an_unprintable_size_by_its_digit_count(monkeypa
     assert str(exc.value) == (
         f"<a 5000-digit number> monomials at (n=2, d={d}, w=5) exceeds ceiling 200000"
     )
+
+
+def test_a_ceiling_message_names_an_unprintable_cell_by_its_digit_count(monkeypatch):
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    d = 10**5000  # d itself is past the int-to-str limit; C(d, 2) monomials
+    with pytest.raises(InstanceCeilingExceeded) as exc:
+        graded_dimension(2, d, 2)
+    assert str(exc.value) == (
+        "<a 10000-digit number> monomials at (n=2, d=<a 5001-digit number>, w=2) "
+        "exceeds ceiling 200000"
+    )
+
+
+def test_membership_names_an_unprintable_cell_by_its_digit_count():
+    with pytest.raises(InstanceCeilingExceeded) as exc:
+        membership({(2, 1): 1}, 2, 10**5000, ceiling=0)
+    assert str(exc.value) == (
+        "<a 10000-digit number> monomials at (n=2, d=<a 5001-digit number>, w=2) "
+        "exceeds ceiling 0"
+    )
+
+
+def test_tower_cache_evicts_the_cell_used_least_recently(monkeypatch):
+    # the tower cache keeps the cells used last, at least 16: one more
+    # distinct cell evicts the least recently used, which is built anew
+    # when asked again, and every value stays the same
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    size = oracle._tower.cache_parameters()["maxsize"]
+    assert size >= 16
+    assert oracle._slice_count.cache_parameters()["maxsize"] == size
+    cells = [(n, d, w) for w in range(1, 5) for n in range(2, 5) for d in range(2, 6)]
+    cells = cells[: size + 1]
+    oracle._tower.cache_clear()
+    dims = [graded_dimension(*cell) for cell in cells[:size]]
+    graded_dimension(*cells[0])  # now cells[1] is the least recently used
+    graded_dimension(*cells[size])
+    info = oracle._tower.cache_info()
+    assert (info.currsize, info.misses) == (size, size + 1)
+    assert graded_dimension(*cells[0]) == dims[0]  # kept
+    assert oracle._tower.cache_info().misses == size + 1
+    assert graded_dimension(*cells[1]) == dims[1]  # evicted, built anew
+    assert oracle._tower.cache_info().misses == size + 2
+    assert [graded_dimension(*cell) for cell in cells[:size]] == dims
+    assert dims == [oracle._Tower(*cell).dim for cell in cells[:size]]
 
 
 def test_bad_instance_rejected():
