@@ -10,8 +10,12 @@ expands a bracket whose first child is itself a bracket.  A canonical term
 with basic children that fails the basic predicate always has a bracket in
 its first slot (the first child carries the maximal weight), so the
 identity applies at the deepest offending node until only basic terms
-remain.  A step keys its summands from the expanded term's key: only the
-path from the expanded bracket up to the root is re-sorted and re-keyed.
+remain.  That node is found on the term's key, by the FULL_RULE3 rule
+over the children's keys, and each key object is searched once a call.
+A step keys its summands from the expanded term's key: only the path from
+the expanded bracket up to the root is re-sorted and re-keyed.  Equal
+subterms of all results, across calls, are one object, through one table
+of at most `_SHARED_ENTRIES` brackets.
 
 Termination of the process is not guaranteed a priori; a configurable
 step budget caps the work, and exhaustion is surfaced via the `capped`
@@ -23,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .basis import EnumerationMode, is_basic
+from .basis import _descent_rule
 from .terms import (
     Term,
     _bracket,
@@ -116,33 +120,68 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
     return lc
 
 
-def _deepest_nonbasic_path(t: Term, n: int) -> Optional[tuple]:
+def _nonbasic_path(k: tuple, memo: dict) -> Optional[tuple]:
     """Path to a deepest subterm that is not basic although all of its
-    children are; None if t itself is basic."""
-    if is_leaf(t):
-        return None
-    for i, c in enumerate(t):
-        sub = _deepest_nonbasic_path(c, n)
-        if sub is not None:
-            return (i,) + sub
-    if is_basic(t, n, EnumerationMode.FULL_RULE3):
-        return None
-    return ()
+    children are, in the canonical term with term_key k; None if the term
+    is basic.  Read off k: the first child with such a path leads to it,
+    and a bracket whose children are all basic is not basic exactly when
+    the FULL_RULE3 rule fails at it.  memo maps id(key) to (key, path),
+    the key held so that its id names it; an explicit stack, not
+    recursion, so any depth is walked."""
+    stack = [[k, _key_children(k), 0]]  # key, its children's keys, next child
+    while True:
+        top = stack[-1]
+        node, kids, i = top
+        if i < len(kids):
+            child = kids[i]
+            hit = memo.get(id(child)) if child[1] else (child, None)  # a leaf is basic
+            if hit is None:
+                stack.append([child, _key_children(child), 0])
+                continue
+            if hit[1] is None:
+                top[2] = i + 1
+                continue
+            path = (i,) + hit[1]
+        else:
+            basic = not kids or _descent_rule(kids, [h[0] for h in kids], _key_children)
+            path = None if basic else ()
+        memo[id(node)] = node, path
+        stack.pop()
+        if not stack:
+            return path
 
 
-def _shared(lc: dict) -> dict:
+# the most brackets `_shared` keeps across calls; a pass of the
+# rewrite-corpus benchmark needs about 780
+_SHARED_ENTRIES = 1 << 13
+_SHARED: dict = {}  # each bracket kept, as key and value: the one object that is it
+
+
+def _shared(lc: dict, room: int) -> dict:
     """lc with its terms rebuilt bottom-up through one table, so equal
-    subterms are one object.  An explicit stack, not recursion, so any
-    term `collect` accepts is walked."""
-    table: dict = {}
+    subterms are one object, also across calls: the table is kept, and
+    what it holds changes no result, only which object stands for a term.
+    A result that could add `room` entries, more than the table has room
+    for, has it emptied first; one that alone could pass the bound gets a
+    table of its own, dropped after.  A kept bracket is a tuple of n
+    references to kept brackets or leaves, so the full table takes about
+    1 MB at n = 4.  An explicit stack, not recursion, so any term
+    `collect` accepts is walked."""
+    if room > _SHARED_ENTRIES:
+        table: dict = {}  # the result alone could pass the bound
+    else:
+        if len(_SHARED) + room > _SHARED_ENTRIES:
+            _SHARED.clear()  # full
+        table = _SHARED
     stack = [(t, False) for t in lc]
     while stack:
         u, built = stack.pop()
         if built:  # its bracket children are in the table
-            table.setdefault(u, tuple([table.get(v, v) for v in u]))
+            v = tuple([table.get(c, c) for c in u])
+            table.setdefault(v, v)
         elif not is_leaf(u) and u not in table:
             stack.append((u, True))
-            stack += [(v, False) for v in u]
+            stack += [(c, False) for c in u]
     return {table.get(t, t): c for t, c in lc.items()}
 
 
@@ -153,8 +192,10 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
     trace.capped is True and the residual non-basic terms are left in the
     combination.  Each term is keyed once, when it is canonicalized: a
     Jacobi step re-keys only the path from the expanded bracket up to the
-    root and reuses the keys of u off it.  Equal subterms of the result
-    are one object."""
+    root and reuses the keys of u off it.  The node to expand is read off
+    the key, and a key shared by several terms is searched once.  Equal
+    subterms of the result, and of earlier results while the shared table
+    keeps them, are one object."""
     trace = RewriteTrace()
     s, ct, k = _canonical(t, n)
     if s == 0:
@@ -162,16 +203,18 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
         return {}, trace
     if ct != t or s != 1:
         trace.record(SKEW, (), 1, 1)
+    w = k[0]  # the weight of t and of every term of the result
     work = {ct: Fraction(s)}
     keys = {ct: k}  # the term_key of each term in work
     out: dict = {}
+    paths: dict = {}  # id(key) -> (key, its _nonbasic_path)
     steps = 0
     while work:
         # largest term first: expansions feed cancellations deterministically
         u = max(work, key=keys.__getitem__)
         c = work.pop(u)
         k = keys.pop(u)
-        path = _deepest_nonbasic_path(u, n)
+        path = _nonbasic_path(k, paths)
         if path is None:
             lc_add(out, u, c)
             continue
@@ -190,7 +233,7 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
                 del work[cs], keys[cs]
         trace.record(JACOBI, path, before, len(work))
     lc_merge(out, work)  # the residual, if the budget ran out
-    return _shared(out), trace
+    return _shared(out, len(out) * (w - 1)), trace  # w - 1 brackets a term
 
 
 def collect_lc(lc: dict, n: int, cap: int = DEFAULT_STEP_BUDGET):

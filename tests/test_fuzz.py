@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conftest import dense_member, dense_rank, dense_span  # noqa: E402
 from nlie.basis import is_basic  # noqa: E402
 from nlie.oracle import graded_dimension, membership, relation_rows  # noqa: E402
-from nlie.rewrite import collect  # noqa: E402
+from nlie.rewrite import _nonbasic_path, collect  # noqa: E402
 from nlie.terms import (  # noqa: E402
     bracket_counts,
     canonicalize,
@@ -21,6 +21,7 @@ from nlie.terms import (  # noqa: E402
     parse,
     term_key,
 )
+from test_rewrite import _deepest_nonbasic_path  # noqa: E402
 
 # bounded so the tier-1 suite stays fast; failing examples are not saved
 fuzz = settings(max_examples=60, deadline=None, database=None)
@@ -83,6 +84,24 @@ def test_swapping_two_children_of_a_canonical_bracket_flips_the_sign(nt, data):
     swapped[i], swapped[j] = swapped[j], swapped[i]
     assert canonicalize(ct, n) == (1, ct)
     assert canonicalize(tuple(swapped), n) == (-1, ct)
+
+
+arity_and_canonical_term = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(st.integers(1, 8), _canonical_brackets(n)))
+)
+
+
+@fuzz
+@given(arity_and_canonical_term)
+def test_the_path_read_off_the_key_is_the_searched_one(nt):
+    # canonical terms, basic or not; asked again, the path is read from
+    # the memo the first walk filled
+    n, t = nt
+    want = _deepest_nonbasic_path(t, n)
+    memo: dict = {}
+    k = term_key(t, n)
+    assert _nonbasic_path(k, memo) == want
+    assert _nonbasic_path(k, memo) == want
 
 
 def _left_normed(n, d, w_max):

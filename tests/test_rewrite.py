@@ -7,7 +7,7 @@ from conftest import random_term
 from nlie import oracle, rewrite
 from nlie.basis import EnumerationMode, enumerate_basic, is_basic
 from nlie.rewrite import JACOBI, SKEW, ZERO, RewriteTrace, collect, collect_lc, expand_jacobi
-from nlie.terms import _canonical, canonicalize, lc_add, lc_merge, term_key, weight
+from nlie.terms import _canonical, canonicalize, is_leaf, lc_add, lc_merge, term_key, weight
 
 
 def _difference(t, lc, n):
@@ -186,9 +186,24 @@ def test_keyed_summands_match_canonicalizing_each_summand(n, d, w_max):
     assert checked >= 40 and dropped > 0
 
 
+def _deepest_nonbasic_path(t, n):
+    """Path to a deepest subterm that is not basic although all of its
+    children are; None if t itself is basic."""
+    if is_leaf(t):
+        return None
+    for i, c in enumerate(t):
+        sub = _deepest_nonbasic_path(c, n)
+        if sub is not None:
+            return (i,) + sub
+    if is_basic(t, n, EnumerationMode.FULL_RULE3):
+        return None
+    return ()
+
+
 def _collect_rekeying(t, n, cap=rewrite.DEFAULT_STEP_BUDGET):
     """The reference collecting loop, which re-keys every term of the work
-    combination with term_key on every step."""
+    combination with term_key on every step and searches each term for
+    its path with is_basic at every node."""
     trace = RewriteTrace()
     s, ct = canonicalize(t, n)
     if s == 0:
@@ -202,7 +217,7 @@ def _collect_rekeying(t, n, cap=rewrite.DEFAULT_STEP_BUDGET):
     while work:
         u = max(work, key=lambda v: term_key(v, n))
         c = work.pop(u)
-        path = rewrite._deepest_nonbasic_path(u, n)
+        path = _deepest_nonbasic_path(u, n)
         if path is None:
             lc_add(out, u, c)
             continue
@@ -279,9 +294,78 @@ def _subterms(lc):
 
 
 def test_collect_shares_equal_subterms():
+    # within a result, and across calls on different inputs while the
+    # table keeps its entries
+    rewrite._SHARED.clear()
     n3 = (((((4, 3, 2), 4, 2), 4, 1), 3, 1), 1, 4)
-    for t, n in [(_left_normed([1, 2, 3] * 3), 2), (n3, 3)]:
+    runs = [
+        [(_left_normed([1, 2, 3] * 3), 2), (_left_normed([2, 1, 3] * 3), 2)],
+        [(n3, 3), ((((((4, 3, 2), 4, 2), 4, 1), 4, 1), 1, 3), 3)],
+    ]
+    for inputs in runs:
+        results = [collect(t, n)[0] for t, n in inputs]
+        for lc in results:
+            occurrences = list(_subterms(lc))
+            assert len(set(occurrences)) < len(occurrences)  # some subterm recurs
+            assert len({id(u) for u in occurrences}) == len(set(occurrences))
+        first, second = ({u: id(u) for u in _subterms(lc)} for lc in results)
+        both = first.keys() & second.keys()
+        assert set(results[0]) & set(results[1])  # an output term recurs
+        assert [first[u] for u in both] == [second[u] for u in both]
+
+
+# the cells of the collect fuzz test in tests/test_fuzz.py
+FUZZ_CELLS = [(2, 2, 7), (3, 3, 5), (2, 3, 6), (3, 4, 5), (4, 5, 4)]
+
+
+class _CountingDict(dict):
+    """A dict that counts how often it is emptied."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+@pytest.mark.parametrize("bound", [0, 8, 64])
+def test_the_shared_table_keeps_its_bound_and_changes_no_result(monkeypatch, bound):
+    # seeded left-normed terms on the collect fuzz cells: each result
+    # equals a run with no table and shares its own equal subterms, and
+    # the table never passes the bound
+    rng = random.Random(bound)
+    inputs = []
+    for _ in range(120):
+        n, d, w = rng.choice(FUZZ_CELLS)
+        inputs.append((_random_left_normed(rng, n, d, rng.randint(2, w)), n))
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_shared", lambda lc, room: lc)
+        plain = [list(collect(t, n)[0].items()) for t, n in inputs]
+    monkeypatch.setattr(rewrite, "_SHARED_ENTRIES", bound)
+    monkeypatch.setattr(rewrite, "_SHARED", _CountingDict())
+    kept = 0
+    for (t, n), want in zip(inputs, plain):
         lc, _ = collect(t, n)
+        assert list(lc.items()) == want, t
         occurrences = list(_subterms(lc))
-        assert len(set(occurrences)) < len(occurrences)  # some subterm recurs
         assert len({id(u) for u in occurrences}) == len(set(occurrences))
+        assert len(rewrite._SHARED) <= bound
+        kept += len(rewrite._SHARED) > 0
+    # from 8 on the table keeps brackets across calls, fills up and is
+    # emptied
+    assert (kept > 0, rewrite._SHARED.clears > 0) == (bound > 0, bound > 0)
+
+
+def _deep_key(depth, inner):
+    """The term_key of the left-nested n = 2 term [..[inner, x1].., x1]
+    with `depth` brackets, built in a loop: inner has the key (2, 1, ...)."""
+    k = (2, 1, ((1, 0, inner[1]), (1, 0, inner[0])))
+    for w in range(3, depth + 2):
+        k = (w, 1, ((1, 0, 1), k))
+    return k
+
+
+def test_the_path_of_a_depth_5000_key_is_read_without_recursion():
+    # [x2,x1] is basic, [[x2,x1],x1] too, and so on up; [[x3,x2],x1] is not
+    assert rewrite._nonbasic_path(_deep_key(5000, (2, 1)), {}) is None
+    assert rewrite._nonbasic_path(_deep_key(5000, (3, 2)), {}) == (0,) * 4998
