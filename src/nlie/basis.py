@@ -5,13 +5,16 @@ canonical bracket is basic when all its children are basic and it passes
 the local rule of the chosen reading.  A rule sees a bracket's child
 handles, their weights, and sub(h), the child handles of h (() for a
 generator); handles compare as the terms they stand for.  `_descent_rule`
-and `_chain_rule` state the rules: `is_basic` applies them to the term
-keys of its canonicity check, and the tests hold the rule-first children
-sources (`_descent_children`, `_chain_children`) to them.  The enumerator
-builds exactly the basic brackets with `terms.bracket_layers` on ids (the
-handles), each weight from what its rule's source generates.  The
-canonical order already gives non-increasing child weights, strict
-descent among equal weights, and lighter children.
+and `_chain_rule` state the rules, and the tests hold the rule-first
+children sources (`_descent_children`, `_chain_children`) to them.
+`_nonbasic_path` is the one walk of the definition, over a term key with
+an explicit stack: `is_basic` runs it on the key of its canonicity check,
+and `rewrite.collect` with the FULL_RULE3 rule, to find the node it
+expands.  The enumerator builds exactly the basic brackets with
+`terms.bracket_layers` on ids (the handles), each weight from what its
+rule's source generates.  The canonical order already gives
+non-increasing child weights, strict descent among equal weights, and
+lighter children.
 
 Counts are closed forms at weights 1 and 2 and at every LEFT_NORMED
 weight; FULL_RULE3 from weight 3 on is counted by its one build, which
@@ -123,13 +126,35 @@ _RULES = {
 }
 
 
-def _basic_key(k, rule) -> bool:
-    """Whether the canonical term with key k is basic under `rule`."""
-    hs = _key_children(k)
-    for h in hs:
-        if not _basic_key(h, rule):
-            return False
-    return not hs or rule(hs, [h[0] for h in hs], _key_children)
+def _nonbasic_path(k: tuple, memo: dict, rule=_descent_rule):
+    """Path to a deepest subterm that is not basic under `rule` although
+    all of its children are, in the canonical term with term_key k; None
+    if the term is basic.  Read off k: the first child with such a path
+    leads to it, and a bracket whose children are all basic is not basic
+    exactly when the rule fails at it.  memo maps id(key) to (key, path),
+    the key held so that its id names it; an explicit stack, not
+    recursion, so any depth is walked."""
+    stack = [[k, _key_children(k), 0]]  # key, its children's keys, next child
+    while True:
+        top = stack[-1]
+        node, kids, i = top
+        if i < len(kids):
+            child = kids[i]
+            hit = memo.get(id(child)) if child[1] else (child, None)  # a leaf is basic
+            if hit is None:
+                stack.append([child, _key_children(child), 0])
+                continue
+            if hit[1] is None:
+                top[2] = i + 1
+                continue
+            path = (i,) + hit[1]
+        else:
+            basic = not kids or rule(kids, [h[0] for h in kids], _key_children)
+            path = None if basic else ()
+        memo[id(node)] = node, path
+        stack.pop()
+        if not stack:
+            return path
 
 
 def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3) -> bool:
@@ -140,7 +165,7 @@ def is_basic(t: Term, n: int, mode: EnumerationMode = EnumerationMode.FULL_RULE3
     key = _walk(t, n, letters)
     if min(letters) < 1:
         raise ValueError(f"not a canonical term: {t!r}")
-    return _basic_key(key, _RULES[mode][0])
+    return _nonbasic_path(key, {}, _RULES[mode][0]) is None
 
 
 # ---------------------------------------------------------------------------

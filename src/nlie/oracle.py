@@ -36,9 +36,10 @@ The tower is the only state the oracle keeps, beside slice sizes: one
 per cell (n, d, w), built on first use by `graded_dimension` or
 `membership` and kept for the 16 cells used last, each with
 `membership`'s memo of the normal forms it has computed, at most
-`_MEMO_ENTRIES` of them.  Each entry point sizes the slice against the
-ceiling first, by `terms.bracket_counts`, kept for the 16 cells sized
-last, so a refused cell is never built.
+`terms._TABLE_ENTRIES` of them, the bound that `terms._room` keeps for
+every kept table.  Each entry point sizes the slice against the ceiling
+first, by `terms.bracket_counts`, kept for the 16 cells sized last, so a
+refused cell is never built.
 `graded_monomials` and `relation_rows` run `terms.bracket_layers` once
 per call, name its slice with `terms.layer_items` and keep nothing;
 `relation_rows` lists every instance of the slice, at every hole
@@ -57,6 +58,7 @@ from typing import NamedTuple, Optional
 from .terms import (
     _cell_text,
     _int_text,
+    _room,
     _walk,
     bracket_counts,
     bracket_layers,
@@ -386,9 +388,6 @@ class _Tower:
 # cells are kept: a `compare` table reads up to 9, rewrite-corpus 6
 _tower = lru_cache(maxsize=16)(_Tower)
 
-# the most normal forms one tower's memos keep, summed over letter orders
-_MEMO_ENTRIES = 1 << 13
-
 
 def _arrangements(lam: tuple) -> int:
     """The number of distinct contents that permute the letters of lam
@@ -502,10 +501,10 @@ def membership(
 
     The forms are memoized in the tower, one memo per letter order, and
     kept across calls.  All of a tower's memos together hold at most
-    _MEMO_ENTRIES = 8192 forms.  A part adds at most one form per bracket
-    of each of its terms; a part that alone could pass the bound gets a
-    memo of its own, dropped after, and before any other part that could
-    pass it the memos are all emptied.
+    `terms._TABLE_ENTRIES` = 8192 forms, by `terms._room`.  A part adds at
+    most one form per bracket of each of its terms; a part that alone
+    could pass the bound gets a memo of its own, dropped after, and before
+    any other part that could pass it the memos are all emptied.
     A form is a row over the standard ids of one letter content, so a
     row holds at most that content's dimension.  On the rewrite-corpus
     benchmark's cells a form takes about 0.4 KB, some 3.5 MB for a full
@@ -540,12 +539,9 @@ def membership(
         order = tuple(sorted(range(1, d + 1), key=lambda g: -counts[g]))  # by falling count
         letters = {g: k for k, g in enumerate(order)}  # generator order[k] becomes id k
         room = (w - 1) * len(part)  # a new entry at most per bracket of each term
-        if room > _MEMO_ENTRIES:
-            memo: dict = {}  # the part alone could pass the bound
-        else:
-            if sum(map(len, memos.values())) + room > _MEMO_ENTRIES:
-                memos.clear()  # full
-            memo = memos.setdefault(order, {})
+        # a memo of its own, dropped after, if the part alone could pass the bound
+        kept = _room(memos, sum(map(len, memos.values())), room)
+        memo = memos.setdefault(order, {}) if kept else {}
         forms = [(tower.normal_form(t, letters, memo), val) for t, val in part.items()]
         sums = [(den, [(val * c, k) for k, c in row.items()]) for (den, row), val in forms]
         if _combine(sums)[1]:

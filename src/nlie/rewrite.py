@@ -10,12 +10,12 @@ expands a bracket whose first child is itself a bracket.  A canonical term
 with basic children that fails the basic predicate always has a bracket in
 its first slot (the first child carries the maximal weight), so the
 identity applies at the deepest offending node until only basic terms
-remain.  That node is found on the term's key, by the FULL_RULE3 rule
-over the children's keys, and each key object is searched once a call.
-A step keys its summands from the expanded term's key: only the path from
-the expanded bracket up to the root is re-sorted and re-keyed.  Equal
-subterms of all results, across calls, are one object, through one table
-of at most `_SHARED_ENTRIES` brackets.
+remain.  That node is found on the term's key by `basis._nonbasic_path`,
+the walk behind `is_basic`, under the FULL_RULE3 rule, and each key
+object is searched once a call.  A step keys its summands from the
+expanded term's key: only the path from the expanded bracket up to the
+root is re-sorted and re-keyed.  Equal subterms of all results, across
+calls, are one object, through one table that `terms._room` bounds.
 
 Termination of the process is not guaranteed a priori; a configurable
 step budget caps the work, and exhaustion is surfaced via the `capped`
@@ -25,14 +25,14 @@ flag on the trace, never silently.  All coefficients are exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from .basis import _descent_rule
+from .basis import _nonbasic_path
 from .terms import (
     Term,
     _bracket,
     _canonical,
     _key_children,
+    _room,
     canonicalize,
     is_leaf,
     lc_add,
@@ -120,40 +120,6 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
     return lc
 
 
-def _nonbasic_path(k: tuple, memo: dict) -> Optional[tuple]:
-    """Path to a deepest subterm that is not basic although all of its
-    children are, in the canonical term with term_key k; None if the term
-    is basic.  Read off k: the first child with such a path leads to it,
-    and a bracket whose children are all basic is not basic exactly when
-    the FULL_RULE3 rule fails at it.  memo maps id(key) to (key, path),
-    the key held so that its id names it; an explicit stack, not
-    recursion, so any depth is walked."""
-    stack = [[k, _key_children(k), 0]]  # key, its children's keys, next child
-    while True:
-        top = stack[-1]
-        node, kids, i = top
-        if i < len(kids):
-            child = kids[i]
-            hit = memo.get(id(child)) if child[1] else (child, None)  # a leaf is basic
-            if hit is None:
-                stack.append([child, _key_children(child), 0])
-                continue
-            if hit[1] is None:
-                top[2] = i + 1
-                continue
-            path = (i,) + hit[1]
-        else:
-            basic = not kids or _descent_rule(kids, [h[0] for h in kids], _key_children)
-            path = None if basic else ()
-        memo[id(node)] = node, path
-        stack.pop()
-        if not stack:
-            return path
-
-
-# the most brackets `_shared` keeps across calls; a pass of the
-# rewrite-corpus benchmark needs about 780
-_SHARED_ENTRIES = 1 << 13
 _SHARED: dict = {}  # each bracket kept, as key and value: the one object that is it
 
 
@@ -161,18 +127,13 @@ def _shared(lc: dict, room: int) -> dict:
     """lc with its terms rebuilt bottom-up through one table, so equal
     subterms are one object, also across calls: the table is kept, and
     what it holds changes no result, only which object stands for a term.
-    A result that could add `room` entries, more than the table has room
-    for, has it emptied first; one that alone could pass the bound gets a
-    table of its own, dropped after.  A kept bracket is a tuple of n
-    references to kept brackets or leaves, so the full table takes about
-    1 MB at n = 4.  An explicit stack, not recursion, so any term
-    `collect` accepts is walked."""
-    if room > _SHARED_ENTRIES:
-        table: dict = {}  # the result alone could pass the bound
-    else:
-        if len(_SHARED) + room > _SHARED_ENTRIES:
-            _SHARED.clear()  # full
-        table = _SHARED
+    A result that could add `room` entries takes the table as
+    `terms._room` leaves it, emptied if it could overfill, or a table of
+    its own, dropped after, if it alone could pass the bound.  A kept
+    bracket is a tuple of n references to kept brackets or leaves, so the
+    full table takes about 1 MB at n = 4.  An explicit stack, not
+    recursion, so any term `collect` accepts is walked."""
+    table = _SHARED if _room(_SHARED, len(_SHARED), room) else {}
     stack = [(t, False) for t in lc]
     while stack:
         u, built = stack.pop()

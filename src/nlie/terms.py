@@ -115,7 +115,10 @@ def weight(t: Term, n: int) -> int:
 def length(t: Term) -> int:
     if is_leaf(t):
         return 1
-    return sum(list(map(length, t)))  # summing a list, not a map: one frame per level
+    total = 0
+    for c in t:  # a loop, not map: one frame per level, no C call between levels
+        total += length(c)
+    return total
 
 
 def commutator_length(n: int, w: int) -> int:
@@ -135,7 +138,9 @@ def _walk(t: Term, n: int, letters: list) -> tuple:
         return 1, 0, t
     if not isinstance(t, (tuple, list)):  # a one-letter str iterates to itself
         raise TypeError(f"not a term: {t!r}")
-    keys = list(map(_walk, t, itertools.repeat(n), itertools.repeat(letters)))  # one frame per level
+    keys = []
+    for c in t:  # a loop, not map: one frame per level, no C call between levels
+        keys.append(_walk(c, n, letters))
     if len(keys) != n or not isinstance(t, tuple) or not all(map(gt, keys, keys[1:])):
         letters.append(0)
     keys.reverse()
@@ -413,3 +418,22 @@ def lc_format(lc: dict, n: int) -> str:
         sign = "+" if c > 0 else "-"
         parts.append(f"{sign}{abs(Fraction(c))}*{format_term(t)}")
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# The one bound of the tables kept across calls: `oracle.membership`'s memos
+# of normal forms and `rewrite._shared`'s brackets (a rewrite-corpus pass
+# needs about 780).
+
+_TABLE_ENTRIES = 1 << 13
+
+
+def _room(table: dict, used: int, room: int) -> bool:
+    """Whether a kept table, which holds `used` entries, may take up to
+    `room` more: False when `room` alone could pass _TABLE_ENTRIES, and
+    the caller takes a fresh dict; else True, with the table emptied
+    first if `used + room` could pass the bound."""
+    fits = room <= _TABLE_ENTRIES
+    if fits and used + room > _TABLE_ENTRIES:
+        table.clear()  # full
+    return fits

@@ -438,6 +438,18 @@ def test_rewrite_deep_term_is_one_line_error(capsys, depth, message):
     assert err == message + "\n"
 
 
+def test_rewrite_prints_a_deep_basic_term():
+    # depth 900, basic: collected with no step, then keyed and formatted in
+    # a cold interpreter, where term walks take one frame per level
+    expr = "[" * 900 + "x2,x1]" + ",x1]" * 899
+    proc = python_with_src(
+        "-m", "nlie.cli", "rewrite", "--n", "2", expr,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, f"+1*{expr}\n", "")  # 4506 bytes
+
+
 def test_oracle_ceiling_zero_blanks_the_oracle(capsys):
     code, _, err = run(capsys, "count", "--n", "2", "--d", "2", "--w", "3",
                        "--method", "oracle", "--oracle-ceiling", "0")

@@ -9,9 +9,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import dense_member, dense_rank, dense_span  # noqa: E402
-from nlie.basis import is_basic  # noqa: E402
+from nlie.basis import _chain_rule, _descent_rule, _nonbasic_path, is_basic  # noqa: E402
 from nlie.oracle import graded_dimension, membership, relation_rows  # noqa: E402
-from nlie.rewrite import _nonbasic_path, collect  # noqa: E402
+from nlie.rewrite import collect  # noqa: E402
 from nlie.terms import (  # noqa: E402
     bracket_counts,
     canonicalize,
@@ -22,6 +22,7 @@ from nlie.terms import (  # noqa: E402
     term_key,
 )
 from test_rewrite import _deepest_nonbasic_path  # noqa: E402
+from test_terms import _basic_key  # noqa: E402
 
 # bounded so the tier-1 suite stays fast; failing examples are not saved
 fuzz = settings(max_examples=60, deadline=None, database=None)
@@ -102,6 +103,17 @@ def test_the_path_read_off_the_key_is_the_searched_one(nt):
     k = term_key(t, n)
     assert _nonbasic_path(k, memo) == want
     assert _nonbasic_path(k, memo) == want
+
+
+@fuzz
+@given(arity_and_canonical_term)
+def test_the_one_walk_decides_as_the_recursive_definition(nt):
+    # canonical terms, basic or not, under each rule: no path exactly
+    # when the recursive statement of the definition finds the term basic
+    n, t = nt
+    k = term_key(t, n)
+    for rule in [_descent_rule, _chain_rule]:
+        assert (_nonbasic_path(k, {}, rule) is None) == _basic_key(k, rule)
 
 
 def _left_normed(n, d, w_max):

@@ -10,7 +10,7 @@ from math import comb, factorial, gcd, lcm
 import pytest
 
 from conftest import dense_member, dense_rank, dense_span, random_term, relabel
-from nlie import oracle
+from nlie import oracle, terms
 from nlie.oracle import (
     InstanceCeilingExceeded,
     graded_dimension,
@@ -647,7 +647,7 @@ def test_the_memo_keeps_its_bound_and_answers_as_a_fresh_one(monkeypatch, bound)
     # seeded combinations of congruences on the collect fuzz cells, at times
     # plus a term of their own, which may leave the span: the answers are
     # those of fresh memos, and no tower's memos together pass the bound
-    monkeypatch.setattr(oracle, "_MEMO_ENTRIES", bound)
+    monkeypatch.setattr(terms, "_TABLE_ENTRIES", bound)
     cells = [(2, 2, 7), (3, 3, 5), (2, 3, 6), (3, 4, 5), (4, 5, 4)]
     for cell in cells:
         oracle._tower(*cell).memos.clear()

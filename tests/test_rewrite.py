@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_term
-from nlie import oracle, rewrite
+from nlie import basis, oracle, rewrite, terms
 from nlie.basis import EnumerationMode, enumerate_basic, is_basic
 from nlie.rewrite import JACOBI, SKEW, ZERO, RewriteTrace, collect, collect_lc, expand_jacobi
 from nlie.terms import _canonical, canonicalize, is_leaf, lc_add, lc_merge, term_key, weight
@@ -341,7 +341,7 @@ def test_the_shared_table_keeps_its_bound_and_changes_no_result(monkeypatch, bou
     with monkeypatch.context() as m:
         m.setattr(rewrite, "_shared", lambda lc, room: lc)
         plain = [list(collect(t, n)[0].items()) for t, n in inputs]
-    monkeypatch.setattr(rewrite, "_SHARED_ENTRIES", bound)
+    monkeypatch.setattr(terms, "_TABLE_ENTRIES", bound)
     monkeypatch.setattr(rewrite, "_SHARED", _CountingDict())
     kept = 0
     for (t, n), want in zip(inputs, plain):
@@ -366,6 +366,8 @@ def _deep_key(depth, inner):
 
 
 def test_the_path_of_a_depth_5000_key_is_read_without_recursion():
-    # [x2,x1] is basic, [[x2,x1],x1] too, and so on up; [[x3,x2],x1] is not
-    assert rewrite._nonbasic_path(_deep_key(5000, (2, 1)), {}) is None
-    assert rewrite._nonbasic_path(_deep_key(5000, (3, 2)), {}) == (0,) * 4998
+    # [x2,x1] is basic, [[x2,x1],x1] too, and so on up; [[x3,x2],x1] is
+    # not: the same under either rule at n = 2
+    for rule in [basis._descent_rule, basis._chain_rule]:
+        assert basis._nonbasic_path(_deep_key(5000, (2, 1)), {}, rule) is None
+        assert basis._nonbasic_path(_deep_key(5000, (3, 2)), {}, rule) == (0,) * 4998

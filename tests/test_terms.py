@@ -13,6 +13,7 @@ from nlie.rewrite import collect, expand_jacobi
 from nlie.terms import (
     ArityError,
     _int_text,
+    _key_children,
     TermSyntaxError,
     bracket_counts,
     bracket_layers,
@@ -281,11 +282,20 @@ def _old_weight(t, n):
     return 1 if isinstance(t, int) else sum(_old_weight(c, n) for c in t) - (n - 2)
 
 
+def _basic_key(k, rule) -> bool:
+    """Whether the canonical term with key k is basic under `rule`."""
+    hs = _key_children(k)
+    for h in hs:
+        if not _basic_key(h, rule):
+            return False
+    return not hs or rule(hs, [h[0] for h in hs], _key_children)
+
+
 def _old_is_basic(t, n, mode):
     sign, ct, key = terms._canonical(t, n)
     if sign != 1 or ct != t:
         raise ValueError(f"not a canonical term: {t!r}")
-    return basis._basic_key(key, basis._RULES[mode][0])
+    return _basic_key(key, basis._RULES[mode][0])
 
 
 def _rough_term(rng, n, d, depth):
