@@ -1,12 +1,13 @@
 """Command-line surface: counts, enumeration, rewriting, table
 reproduction, and the cross-method discrepancy report.
 
-The comparison report is CSV with RFC-4180-style quoting (via the csv
-module).  A table's fields are integers, fractions, empty fields and
-plain header names, which CSV never quotes, so a table is joined with
-commas and does not load csv.  The comparison report documents its
-reference policy in a leading comment line; empty fields mean "not
-applicable" or "uncomputed", never 0.
+Tables and the comparison report are CSV.  Their fields are integers,
+fractions, empty fields, plain header names and the report's flags,
+built from those with `=`, ` vs `, ` exceeds `, ` is negative` and `; `.
+None holds a comma, a quote or a line break, which CSV would quote, so
+each row is joined with commas and no command loads csv.  The comparison
+report documents its reference policy in a leading comment line; empty
+fields mean "not applicable" or "uncomputed", never 0.
 
 Each command imports only the modules it runs, from inside the
 functions that run them: `--help`, `table --which 3|4` and the
@@ -33,22 +34,12 @@ ENUMERATE_BLOCK_LINES = 1024
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
 
-# the enumeration count-method tags, by their `enumerate --mode` name:
-# the tag without its ENUM_ prefix
-_MODE_NAMES = {
-    tag.removeprefix("ENUM_").lower(): tag for tag in (counting.ENUM_FULL, counting.ENUM_LEFT)
-}
+# the `basis.EnumerationMode` member name of each enumeration count-method
+# tag, so that only a command that enumerates imports `nlie.basis`
+_ENUM_MODES = {counting.ENUM_FULL: "FULL_RULE3", counting.ENUM_LEFT: "LEFT_NORMED"}
 
-
-def _enum_mode(tag: str):
-    """The `basis.EnumerationMode` of an enumeration count-method tag.
-    Only a command that enumerates imports `nlie.basis`."""
-    from . import basis
-
-    return {
-        counting.ENUM_FULL: basis.EnumerationMode.FULL_RULE3,
-        counting.ENUM_LEFT: basis.EnumerationMode.LEFT_NORMED,
-    }[tag]
+# those tags by their `enumerate --mode` name: the tag without its ENUM_ prefix
+_MODE_NAMES = {tag.removeprefix("ENUM_").lower(): tag for tag in _ENUM_MODES}
 
 
 def _bounds() -> dict:
@@ -66,10 +57,10 @@ def _bounds() -> dict:
 def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
     """Value of one method on one cell, or None when it does not apply.
     Raises one of the `_bounds()` exceptions when a bound stops it."""
-    if tag in _MODE_NAMES.values():
+    if tag in _ENUM_MODES:
         from . import basis
 
-        return basis.count_by_enumeration(n, d, w, _enum_mode(tag))
+        return basis.count_by_enumeration(n, d, w, basis.EnumerationMode[_ENUM_MODES[tag]])
     if tag == counting.ORACLE:
         from . import oracle
 
@@ -127,7 +118,7 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import basis, terms
 
-    mode = _enum_mode(_MODE_NAMES[args.mode])
+    mode = basis.EnumerationMode[_ENUM_MODES[_MODE_NAMES[args.mode]]]
     try:
         lines = basis.iter_basic(args.n, args.d, args.w, mode, text=True)
     except basis.EnumerationCapExceeded as exc:
@@ -149,9 +140,6 @@ def cmd_rewrite(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("parse error: term nested too deeply", file=sys.stderr)
-        return 1
     try:
         budget = rewrite.DEFAULT_STEP_BUDGET if args.budget is None else args.budget
         lc, trace = rewrite.collect(t, args.n, cap=budget)
@@ -159,7 +147,7 @@ def cmd_rewrite(args) -> int:
         if trace.capped:
             steps = sum(step[0] == rewrite.JACOBI for step in trace.steps)
             nonbasic = sum(not basis.is_basic(u, args.n) for u in lc)
-    except RecursionError:
+    except RecursionError:  # collect's depth bound, or a walk that still recurses
         print("error: term nested too deeply to collect", file=sys.stderr)
         return 1
     print(text)
@@ -271,14 +259,11 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
 
 
 def cmd_compare(args) -> int:
-    import csv  # flags are free text, quoted should they ever need it
-
     print("# reference count: WITT for n=2, LADDER for n=d, else ORACLE/ENUM_FULL")
     print("# empty fields: method not applicable or instance above the oracle ceiling")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     try:
         for row in compare_rows(args.n, args.d, args.w_max, args.oracle_ceiling):
-            writer.writerow(row)
+            sys.stdout.write(",".join(row) + "\n")
     except _Unprintable as exc:
         print(exc, file=sys.stderr)
         return 1

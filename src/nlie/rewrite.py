@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .basis import _nonbasic_path
 from .terms import (
+    MAX_DEPTH,
     Term,
     _bracket,
     _canonical,
@@ -156,7 +157,8 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
     root and reuses the keys of u off it.  The node to expand is read off
     the key, and a key shared by several terms is searched once.  Equal
     subterms of the result, and of earlier results while the shared table
-    keeps them, are one object."""
+    keeps them, are one object.  A node to expand deeper than
+    `terms.MAX_DEPTH // 2` raises RecursionError, also with cap 0."""
     trace = RewriteTrace()
     s, ct, k = _canonical(t, n)
     if s == 0:
@@ -179,6 +181,10 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
         if path is None:
             lc_add(out, u, c)
             continue
+        # comparing two keys recurses two tuple levels per term level, so a
+        # deeper node is refused here, not by the interpreter's limit
+        if len(path) > MAX_DEPTH // 2:
+            raise RecursionError(f"a node {len(path)} brackets deep, past {MAX_DEPTH // 2}")
         if steps >= cap:
             trace.capped = True
             work[u] = c

@@ -29,6 +29,13 @@ Term = Union[int, tuple]
 
 LT, EQ, GT = -1, 0, 1
 
+# The deepest term nlie takes: `parse` refuses a bracket opened inside
+# MAX_DEPTH others.  Checking and keying a term (`_canonical`, `_walk`)
+# still take one Python frame per level, so the bound sits below CPython's
+# default recursion limit of 1000, with room for the caller's frames, and
+# every supported Python answers alike.
+MAX_DEPTH = 960
+
 
 class TermSyntaxError(ValueError):
     """Raised by `parse` with the offending position in the message."""
@@ -43,48 +50,54 @@ def is_leaf(t: Term) -> bool:
 
 
 def parse(text: str, n: int) -> Term:
-    """Parse `text` into a term of arity n.  Round-trips with format_term."""
+    """Parse `text` into a term of arity n.  Round-trips with format_term.
+    One loop over a stack of the open brackets' children, not recursion;
+    a bracket opened inside MAX_DEPTH open ones is refused."""
     pos = 0
+    end = len(text)
+    stack: list = []  # the children read so far of each open bracket
 
     def err(msg):
         raise TermSyntaxError(f"{msg} at position {pos}")
 
-    def term():
-        nonlocal pos
-        if pos >= len(text):
+    while True:
+        if pos >= end:
             err("unexpected end of input")
         ch = text[pos]
-        if ch == "x":
-            pos += 1
-            start = pos
-            while pos < len(text) and text[pos] in "0123456789":  # INT: ASCII digits only
-                pos += 1
-            if start == pos:
-                err("expected generator index after 'x'")
-            idx = int(text[start:pos])
-            if idx < 1:
-                err("generator index must be >= 1")
-            return idx
         if ch == "[":
+            if len(stack) == MAX_DEPTH:
+                raise TermSyntaxError("term nested too deeply")
+            stack.append([])
             pos += 1
-            children = [term()]
-            while pos < len(text) and text[pos] == ",":
+            continue
+        if ch != "x":
+            err(f"unexpected character {ch!r}")
+        pos += 1
+        start = pos
+        while pos < end and text[pos] in "0123456789":  # INT: ASCII digits only
+            pos += 1
+        if start == pos:
+            err("expected generator index after 'x'")
+        t = int(text[start:pos])
+        if t < 1:
+            err("generator index must be >= 1")
+        # t is a whole term: close each bracket it completes
+        while stack:
+            stack[-1].append(t)
+            if pos < end and text[pos] == ",":
                 pos += 1
-                children.append(term())
-            if pos >= len(text) or text[pos] != "]":
+                break  # on to the next child
+            if pos >= end or text[pos] != "]":
                 err("expected ',' or ']'")
             pos += 1
+            children = stack.pop()
             if len(children) != n:
-                raise ArityError(
-                    f"bracket with {len(children)} children, expected {n}"
-                )
-            return tuple(children)
-        err(f"unexpected character {ch!r}")
-
-    t = term()
-    if pos != len(text):
-        err("trailing input")
-    return t
+                raise ArityError(f"bracket with {len(children)} children, expected {n}")
+            t = tuple(children)
+        else:
+            if pos != end:
+                err("trailing input")
+            return t
 
 
 def format_term(t: Term) -> str:

@@ -352,6 +352,12 @@ def test_enumerate_loads_neither_fractions_nor_csv():
         assert loaded_after_main(*argv, among=("csv", "fractions")) == "[]\n"
 
 
+def test_compare_loads_no_csv():
+    # its rows are joined with commas, as a table's are
+    assert loaded_after_main("compare", "--n", "3", "--d", "3", "--w-max", "2",
+                             among=("csv",)) == "[]\n"
+
+
 def test_help_entry_point_loads_only_cli_and_counting():
     # the real `python -m nlie.cli` entry point; -v names every module it
     # loads, nlie.cli itself running as __main__
@@ -427,7 +433,9 @@ def test_rewrite_parse_error(capsys):
 @pytest.mark.parametrize(
     "depth, message",
     [(1200, "parse error: term nested too deeply"),
-     (700, "error: term nested too deeply to collect")],
+     (700, "error: term nested too deeply to collect"),
+     (961, "parse error: term nested too deeply"),
+     (990, "parse error: term nested too deeply")],
 )
 def test_rewrite_deep_term_is_one_line_error(capsys, depth, message):
     # letters alternate, so collecting compares terms that differ deep down
@@ -439,15 +447,17 @@ def test_rewrite_deep_term_is_one_line_error(capsys, depth, message):
 
 
 def test_rewrite_prints_a_deep_basic_term():
-    # depth 900, basic: collected with no step, then keyed and formatted in
-    # a cold interpreter, where term walks take one frame per level
-    expr = "[" * 900 + "x2,x1]" + ",x1]" * 899
-    proc = python_with_src(
-        "-m", "nlie.cli", "rewrite", "--n", "2", expr,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out, err) == (0, f"+1*{expr}\n", "")  # 4506 bytes
+    # basic: collected with no step, then keyed and formatted in a cold
+    # interpreter, where term walks take one frame per level
+    for depth, size in [(900, 4506), (terms.MAX_DEPTH, 4806)]:
+        expr = "[" * depth + "x2,x1]" + ",x1]" * (depth - 1)
+        proc = python_with_src(
+            "-m", "nlie.cli", "rewrite", "--n", "2", expr,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, f"+1*{expr}\n", "")
+        assert len(out) == size
 
 
 def test_oracle_ceiling_zero_blanks_the_oracle(capsys):

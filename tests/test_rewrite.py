@@ -38,6 +38,24 @@ def test_collect_walks_a_deep_left_nested_term():
     assert not trace.capped
 
 
+def _alternating(depth):
+    """The left-nested n = 2 term of `depth` brackets whose letters
+    alternate, as in the CLI's deep-term test: the node collect expands
+    is depth - 4 brackets deep."""
+    return terms.parse("[" * depth + "x1" + "".join(f",x{2 - k % 2}]" for k in range(depth)), 2)
+
+
+def test_collect_refuses_a_node_deeper_than_half_max_depth():
+    # cap 0, so no key comparison runs: the bound alone decides
+    bound = terms.MAX_DEPTH // 2
+    with pytest.raises(RecursionError, match=f"{bound + 1} brackets deep"):
+        collect(_alternating(bound + 5), 2, cap=0)
+    t = _alternating(bound + 4)
+    lc, trace = collect(t, 2, cap=0)
+    assert trace.capped and len(lc) == 1
+    assert basis._nonbasic_path(term_key(next(iter(lc)), 2), {}) == (0,) * bound
+
+
 def test_collect_simple_cases():
     lc, trace = collect((1, 2, 3), 3)
     assert lc == {(3, 2, 1): Fraction(-1)}

@@ -11,6 +11,7 @@ from nlie.basis import EnumerationMode, is_basic
 from nlie.oracle import graded_monomials
 from nlie.rewrite import collect, expand_jacobi
 from nlie.terms import (
+    MAX_DEPTH,
     ArityError,
     _int_text,
     _key_children,
@@ -73,6 +74,121 @@ def test_parse_errors_report_position():
         assert str(err.value) == f"expected generator index after 'x' at position {pos}"
     with pytest.raises(TermSyntaxError, match="trailing"):
         parse("x1\uff12", 2)
+
+
+def _recursive_parse(text: str, n: int):
+    """The parser as it was, recursing once per bracket: the reference for
+    every text below MAX_DEPTH."""
+    pos = 0
+
+    def err(msg):
+        raise TermSyntaxError(f"{msg} at position {pos}")
+
+    def term():
+        nonlocal pos
+        if pos >= len(text):
+            err("unexpected end of input")
+        ch = text[pos]
+        if ch == "x":
+            pos += 1
+            start = pos
+            while pos < len(text) and text[pos] in "0123456789":  # INT: ASCII digits only
+                pos += 1
+            if start == pos:
+                err("expected generator index after 'x'")
+            idx = int(text[start:pos])
+            if idx < 1:
+                err("generator index must be >= 1")
+            return idx
+        if ch == "[":
+            pos += 1
+            children = [term()]
+            while pos < len(text) and text[pos] == ",":
+                pos += 1
+                children.append(term())
+            if pos >= len(text) or text[pos] != "]":
+                err("expected ',' or ']'")
+            pos += 1
+            if len(children) != n:
+                raise ArityError(
+                    f"bracket with {len(children)} children, expected {n}"
+                )
+            return tuple(children)
+        err(f"unexpected character {ch!r}")
+
+    t = term()
+    if pos != len(text):
+        err("trailing input")
+    return t
+
+
+def _corrupted(rng, text):
+    """text with one to three random edits: a character deleted, inserted,
+    replaced or doubled, a slice dropped, or the text cut short."""
+    alphabet = "[],x0123456789x[],y \u0661"
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(alphabet)
+        edit = rng.randrange(6)
+        if edit == 0:
+            text = text[:i] + text[i + 1 :]
+        elif edit == 1:
+            text = text[:i] + c + text[i:]
+        elif edit == 2:
+            text = text[:i] + c + text[i + 1 :]
+        elif edit == 3:
+            text = text[:i] + text[i : i + 1] * 2 + text[i + 1 :]
+        elif edit == 4:
+            text = text[:i] + text[i + rng.randint(1, 8) :]
+        else:
+            text = text[:i]
+    return text
+
+
+def _parse_outcome(f, text, n):
+    """(None, the term) or (the exception type, its text)."""
+    try:
+        return None, f(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_loop_matches_the_recursive_parser():
+    rng = random.Random(31)
+    seen = Counter()
+    for k in range(20_000):
+        n = rng.choice([2, 3, 4])
+        text = format_term(random_term(rng, n, 12, rng.randint(1, 6)))
+        if k % 4:  # three in four corrupted, and some read at another arity
+            text = _corrupted(rng, text)
+        if k % 7 == 0:
+            n = rng.choice([2, 3, 4])
+        got = _parse_outcome(parse, text, n)
+        assert got == _parse_outcome(_recursive_parse, text, n), (text, n)
+        seen["term" if got[0] is None else got[1].split(" at ")[0]] += 1
+    kinds = ["term", "unexpected end of input", "expected generator index after 'x'",
+             "generator index must be >= 1", "expected ',' or ']'", "trailing input"]
+    assert min(seen[kind] for kind in kinds) >= 50, seen
+    assert sum(v for kind, v in seen.items() if kind.startswith("bracket with")) >= 50, seen
+    assert sum(v for kind, v in seen.items() if kind.startswith("unexpected char")) >= 50, seen
+
+
+def _in_frames(frames, f, *args):
+    """f(*args), called from `frames` more nested Python frames."""
+    return f(*args) if frames == 0 else _in_frames(frames - 1, f, *args)
+
+
+def test_parse_refuses_what_is_nested_past_max_depth():
+    text = "[" * MAX_DEPTH + "x2,x1]" + ",x1]" * (MAX_DEPTH - 1)
+    t = parse(text, 2)
+    assert format_term(t) == text
+    assert _in_frames(300, parse, text, 2) == t
+    for depth in (MAX_DEPTH + 1, 5000):
+        text = "[" * depth + "x2,x1]" + ",x1]" * (depth - 1)
+        for frames in (0, 300):
+            with pytest.raises(TermSyntaxError) as info:
+                _in_frames(frames, parse, text, 2)
+            assert str(info.value) == "term nested too deeply"
 
 
 def _digits(v):
