@@ -193,19 +193,26 @@ def _bracket(kids, keys, n: int):
     term_keys are `keys`: (sign, term, term_key), or (0, None, None) if two
     keys are equal.  The term has the children sorted strictly descending,
     the sign is that of the sort, and the key holds the children's keys
-    ascending, so it is built from theirs with no walk of any child."""
+    ascending, so it is built from theirs with no walk of any child.  One
+    sort of the n keys: equal keys are neighbours in its order."""
+    order = sorted(range(n), key=keys.__getitem__)
+    ascending = [keys[i] for i in order]
+    for i in range(1, n):
+        if ascending[i - 1] == ascending[i]:
+            return 0, None, None
+    key = (sum([k[0] for k in ascending]) - (n - 2), 1, tuple(ascending))
+    order.reverse()
+    term = tuple([kids[i] for i in order])
+    # swapping two children negates a bracket (skew-symmetry), so the sign
+    # is the parity of the sort's permutation: undo it one transposition at
+    # a time, each putting one index in its place
     sign = 1
-    # each pair out of descending order flips the sign of the sort
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            if a == b:
-                return 0, None, None
-            if a < b:
-                sign = -sign
-    order = sorted(range(len(kids)), key=keys.__getitem__, reverse=True)
-    ascending = tuple(keys[i] for i in reversed(order))
-    key = (sum(k[0] for k in keys) - (n - 2), 1, ascending)
-    return sign, tuple(kids[i] for i in order), key
+    for i in range(n):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            sign = -sign
+    return sign, term, key
 
 
 def _canonical(t: Term, n: int):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -389,3 +390,35 @@ def test_the_path_of_a_depth_5000_key_is_read_without_recursion():
     for rule in [basis._descent_rule, basis._chain_rule]:
         assert basis._nonbasic_path(_deep_key(5000, (2, 1)), {}, rule) is None
         assert basis._nonbasic_path(_deep_key(5000, (3, 2)), {}, rule) == (0,) * 4998
+
+
+# the cells of the bench's rewrite corpus
+CORPUS_CELLS = [(2, 2, 7), (2, 2, 8), (2, 2, 9), (2, 3, 7), (3, 4, 5), (4, 5, 4)]
+
+
+def _frozen_record(lc, trace):
+    """What a collect run returns, as plain data: the combination in order
+    (coefficients as numerator and denominator), the trace and the flag."""
+    assert all(type(c) is Fraction for c in lc.values())
+    items = [(t, c.numerator, c.denominator) for t, c in lc.items()]
+    return items, trace.steps, trace.capped
+
+
+def test_collect_output_is_frozen():
+    # seeded left-normed terms of the corpus cells, uncapped and at cap 3,
+    # and collect_lc on pairs of them with fractional coefficients
+    rng = random.Random(32)
+    records = []
+    for n, d, w in CORPUS_CELLS:
+        ts = [_random_left_normed(rng, n, d, w) for _ in range(24)]
+        for t in ts:
+            records.append(_frozen_record(*collect(t, n)))
+            records.append(_frozen_record(*collect(t, n, cap=3)))
+        for a, b in zip(ts[::2], ts[1::2]):
+            lc = {a: Fraction(1, 2), b: Fraction(-3)}
+            records.append(_frozen_record(*collect_lc(lc, n)))
+            records.append(_frozen_record(*collect_lc(lc, n, cap=2)))
+    capped = sum(r[2] for r in records)
+    assert (len(records), capped, sum(len(r[1]) for r in records)) == (432, 144, 6473)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "c25b26bd6a491f5b26eadc0c1bdff9909ea106a03d146858d4c153deb963adf6"

@@ -368,6 +368,48 @@ def test_canonicalize_idempotent_and_parity():
             assert (s2, ct2) == (-s, ct)
 
 
+def _pairwise_bracket(kids, keys, n: int):
+    """terms._bracket as it was before it sorted once: the sign from
+    pairwise key compares, then a descending sort."""
+    sign = 1
+    # each pair out of descending order flips the sign of the sort
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            if a == b:
+                return 0, None, None
+            if a < b:
+                sign = -sign
+    order = sorted(range(len(kids)), key=keys.__getitem__, reverse=True)
+    ascending = tuple(keys[i] for i in reversed(order))
+    key = (sum(k[0] for k in keys) - (n - 2), 1, ascending)
+    return sign, tuple(kids[i] for i in order), key
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bracket_matches_the_pairwise_reference(n):
+    # children drawn with repeats from a small pool of canonical terms of
+    # weights 1-3, so equal keys occur, passed as lists and as tuples
+    rng = random.Random(70 + n)
+    pool = {}
+    while len(pool) < 2 * n:
+        s, ct, k = terms._canonical(random_term(rng, n, n + 1, rng.randint(1, 3)), n)
+        if s:
+            pool[ct] = k
+    pool = list(pool.items())
+    signs = Counter()
+    for _ in range(400):
+        drawn = rng.choices(pool, k=n)
+        kids, keys = [c for c, _ in drawn], [k for _, k in drawn]
+        want = _pairwise_bracket(kids, keys, n)
+        for args in [(kids, keys), (tuple(kids), tuple(keys))]:
+            got = terms._bracket(*args, n)
+            assert got == want, args
+            if got[0]:  # a list never equals a tuple, so both are tuples
+                assert got[2] == term_key(got[1], n)  # as a walk of the bracket
+        signs[want[0]] += 1
+    assert min(signs[-1], signs[0], signs[1]) >= 20, signs
+
+
 def test_is_canonical_rejects_malformed_terms():
     assert is_canonical(4, 3) and is_canonical(((3, 2, 1), 2, 1), 3)
     for t, n in [
