@@ -178,7 +178,8 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     ascending n-combination of 1..d) and a multiset of w-2 tails (ascending
     (n-1)-combinations), each at or after c[:-1] in lexicographic order,
     which is the right-to-left tuple order: the d - p[-1] cores of prefix p,
-    at rank r of N tails, take C(N - r + w - 3, w - 2) each.  The core
+    at rank r of N tails, take C(N - r + w - 3, w - 2) each, a binomial
+    updated from one rank to the next.  The core
     1..n alone takes >= N (w >= 3, d >= n), so N > cap raises
     EnumerationCapExceeded before the sum.  A FULL_RULE3 build keeps all
     C(d, n) cores at weight 2, so C(d, n) > cap raises its message unbuilt.
@@ -202,10 +203,12 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
             f"at least {_int_text(tails)} basic commutators at {_cell_text(n, d, w)} "
             f"exceeds cap {cap}"
         )
-    return sum(
-        (d - p[-1]) * comb(tails - r + w - 3, w - 2)
-        for r, p in enumerate(itertools.combinations(range(1, d + 1), n - 1))
-    )
+    m, k = tails + w - 3, w - 2
+    b, total = comb(m, k), 0  # b = C(m - r, k) at rank r
+    for r, p in enumerate(itertools.combinations(range(1, d + 1), n - 1)):
+        total += (d - p[-1]) * b
+        b = b * (m - r - k) // (m - r)  # m - r >= k >= 1 up to the last rank
+    return total
 
 
 def _basics(n: int, d: int, w: int, mode: EnumerationMode, cap: int):

@@ -10,12 +10,12 @@ expands a bracket whose first child is itself a bracket.  A canonical term
 with basic children that fails the basic predicate always has a bracket in
 its first slot (the first child carries the maximal weight), so the
 identity applies at the deepest offending node until only basic terms
-remain.  That node is found on the term's key by `basis._nonbasic_path`,
-the walk behind `is_basic`, under the FULL_RULE3 rule, and each key
-object is searched once a call.  A step keys its summands from the
-expanded term's key: only the path from the expanded bracket up to the
-root is re-sorted and re-keyed.  Equal subterms of all results, across
-calls, are one object, through one table that `terms._room` bounds.
+remain.  It runs on term keys alone, a canonical term being a function
+of its key: `basis._nonbasic_path` finds the node to expand on a key,
+under the FULL_RULE3 rule, and a step re-keys only the path from the
+expanded bracket up to the root.  The result's terms are made once from
+its keys, and equal subterms of all results, across calls, are one
+object, through one table that `terms._room` bounds.
 
 Termination of the process is not guaranteed a priori; a configurable
 step budget caps the work, and exhaustion is surfaced via the `capped`
@@ -76,36 +76,35 @@ def _summands(t: Term, path: tuple, n: int) -> list:
     return [head[:i] + ((head[i],) + ys,) + head[i + 1 :] for i in range(n)]
 
 
-def _keyed_summands(u: Term, k: tuple, path: tuple, n: int):
+def _keyed_summands(k: tuple, path: tuple, n: int):
     """The nonzero results of `_canonical` on `_summands(u, path, n)`, in
-    that order, for a canonical u with term_key k: (sign, term, key).
-    Only the path from the expanded bracket up to the root is re-keyed.
-    The new inner bracket, the head it lands in and each ancestor are
-    sorted by `_bracket` from their children's keys, which off the path
-    are read from k as they are."""
-    spine = []  # (node, its children's keys, slot on the path), root first
+    that order, for the canonical u with term_key k: (sign, key), read off
+    k alone.  Only the path from the expanded bracket up to the root is
+    re-keyed.  The new inner bracket, the head it lands in and each
+    ancestor are sorted by `_bracket` from their children's keys, which
+    off the path are read from k as they are."""
+    spine = []  # (a node's children's keys, its slot on the path), root first
     for p in path:
         ks = _key_children(k)
-        spine.append((u, ks, p))
-        u, k = u[p], ks[p]
+        spine.append((ks, p))
+        k = ks[p]
     ks = _key_children(k)
-    head, head_keys = u[0], _key_children(ks[0])
-    ys, ys_keys = u[1:], ks[1:]
+    head_keys, ys_keys = _key_children(ks[0]), ks[1:]
     spine.reverse()  # the expanded bracket's parent first, the root last
     for i in range(n):
-        s, t, tk = _bracket((head[i],) + ys, (head_keys[i],) + ys_keys, n)
+        s, _, tk = _bracket((head_keys[i],) + ys_keys, n)
         if s == 0:
             continue
         # head with the new bracket in slot i, then each ancestor in turn
-        for node, node_keys, p in [(head, head_keys, i)] + spine:
-            kids, keys = list(node), list(node_keys)
-            kids[p], keys[p] = t, tk
-            sp, t, tk = _bracket(kids, keys, n)
+        for node_keys, p in [(head_keys, i)] + spine:
+            keys = list(node_keys)
+            keys[p] = tk
+            sp, _, tk = _bracket(keys, n)
             if sp == 0:
                 break
             s *= sp
         else:
-            yield s, t, tk
+            yield s, tk
 
 
 def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
@@ -124,27 +123,30 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
 _SHARED: dict = {}  # each bracket kept, as key and value: the one object that is it
 
 
-def _shared(lc: dict, room: int) -> dict:
-    """lc with its terms rebuilt bottom-up through one table, so equal
-    subterms are one object, also across calls: the table is kept, and
-    what it holds changes no result, only which object stands for a term.
-    A result that could add `room` entries takes the table as
+def _shared_terms(lc: dict, room: int) -> dict:
+    """lc, keyed by term_keys, keyed by their terms instead: each made once
+    a call per key object, bottom-up from its children's through one
+    table, so equal subterms are one object, also across calls: the table
+    is kept, and what it holds changes no result, only which object stands
+    for a term.  A result that could add `room` entries takes the table as
     `terms._room` leaves it, emptied if it could overfill, or a table of
     its own, dropped after, if it alone could pass the bound.  A kept
     bracket is a tuple of n references to kept brackets or leaves, so the
     full table takes about 1 MB at n = 4.  An explicit stack, not
-    recursion, so any term `collect` accepts is walked."""
+    recursion, so any term `collect` accepts is made."""
     table = _SHARED if _room(_SHARED, len(_SHARED), room) else {}
-    stack = [(t, False) for t in lc]
+    made: dict = {}  # id(key) -> its term; lc holds the keys
+    stack = [(k, False) for k in lc]
     while stack:
-        u, built = stack.pop()
-        if built:  # its bracket children are in the table
-            v = tuple([table.get(c, c) for c in u])
-            table.setdefault(v, v)
-        elif not is_leaf(u) and u not in table:
-            stack.append((u, True))
-            stack += [(c, False) for c in u]
-    return {table.get(t, t): c for t, c in lc.items()}
+        k, ready = stack.pop()
+        if not k[1]:
+            made[id(k)] = k[2]  # a leaf's key holds its letter
+        elif ready:  # its children's terms are made
+            v = tuple([made[id(c)] for c in _key_children(k)])
+            made[id(k)] = table.setdefault(v, v)
+        elif id(k) not in made:
+            stack += [(k, True)] + [(c, False) for c in k[2]]
+    return {made[id(k)]: c for k, c in lc.items()}
 
 
 def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
@@ -152,13 +154,13 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
 
     Returns (combination, trace).  If the step budget runs out,
     trace.capped is True and the residual non-basic terms are left in the
-    combination.  Each term is keyed once, when it is canonicalized: a
+    combination.  The loop holds term keys alone: t is keyed once, and a
     Jacobi step re-keys only the path from the expanded bracket up to the
-    root and reuses the keys of u off it.  The node to expand is read off
-    the key, and a key shared by several terms is searched once.  Equal
-    subterms of the result, and of earlier results while the shared table
-    keeps them, are one object.  A node to expand deeper than
-    `terms.MAX_DEPTH // 2` raises RecursionError, also with cap 0."""
+    root.  The node to expand is read off the key, and a key shared by
+    several terms is searched once.  The result's terms are made once from
+    its keys: equal subterms of the result, and of earlier results while
+    the shared table keeps them, are one object.  A node to expand deeper
+    than `terms.MAX_DEPTH // 2` raises RecursionError, also with cap 0."""
     trace = RewriteTrace()
     s, ct, k = _canonical(t, n)
     if s == 0:
@@ -167,19 +169,17 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
     if ct != t or s != 1:
         trace.record(SKEW, (), 1, 1)
     w = k[0]  # the weight of t and of every term of the result
-    work = {ct: Fraction(s)}
-    keys = {ct: k}  # the term_key of each term in work
+    work = {k: Fraction(s)}  # the combination, keyed by term_key
     out: dict = {}
     paths: dict = {}  # id(key) -> (key, its _nonbasic_path)
     steps = 0
     while work:
         # largest term first: expansions feed cancellations deterministically
-        u = max(work, key=keys.__getitem__)
-        c = work.pop(u)
-        k = keys.pop(u)
+        k = max(work)
+        c = work.pop(k)
         path = _nonbasic_path(k, paths)
         if path is None:
-            lc_add(out, u, c)
+            lc_add(out, k, c)
             continue
         # comparing two keys recurses two tuple levels per term level, so a
         # deeper node is refused here, not by the interpreter's limit
@@ -187,20 +187,19 @@ def collect(t: Term, n: int, cap: int = DEFAULT_STEP_BUDGET):
             raise RecursionError(f"a node {len(path)} brackets deep, past {MAX_DEPTH // 2}")
         if steps >= cap:
             trace.capped = True
-            work[u] = c
+            work[k] = c
             break
         steps += 1
         before = len(work) + 1
-        for ss, cs, ks in _keyed_summands(u, k, path, n):
-            cc = work.get(cs, 0) + c * ss
+        for ss, ks in _keyed_summands(k, path, n):
+            cc = work.get(ks, 0) + c * ss
             if cc:
-                work[cs] = cc
-                keys[cs] = ks
+                work[ks] = cc
             else:  # cancelled
-                del work[cs], keys[cs]
+                del work[ks]
         trace.record(JACOBI, path, before, len(work))
     lc_merge(out, work)  # the residual, if the budget ran out
-    return _shared(out, len(out) * (w - 1)), trace  # w - 1 brackets a term
+    return _shared_terms(out, len(out) * (w - 1)), trace  # w - 1 brackets a term
 
 
 def collect_lc(lc: dict, n: int, cap: int = DEFAULT_STEP_BUDGET):

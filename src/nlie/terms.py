@@ -188,13 +188,13 @@ class SignedTerm(NamedTuple):
     term: Optional[Term]  # None iff sign == 0
 
 
-def _bracket(kids, keys, n: int):
-    """The canonical bracket of the canonical children `kids`, whose
-    term_keys are `keys`: (sign, term, term_key), or (0, None, None) if two
-    keys are equal.  The term has the children sorted strictly descending,
-    the sign is that of the sort, and the key holds the children's keys
-    ascending, so it is built from theirs with no walk of any child.  One
-    sort of the n keys: equal keys are neighbours in its order."""
+def _bracket(keys, n: int):
+    """The canonical bracket of canonical children whose term_keys are
+    `keys`: (sign, order, term_key), or (0, None, None) if two keys are
+    equal.  `order` lists the children's indices strictly descending, the
+    sign is that of the sort, and the key holds the children's keys
+    ascending, built from theirs with no walk of any child.  One sort of
+    the n keys: equal keys are neighbours in its order."""
     order = sorted(range(n), key=keys.__getitem__)
     ascending = [keys[i] for i in order]
     for i in range(1, n):
@@ -202,17 +202,17 @@ def _bracket(kids, keys, n: int):
             return 0, None, None
     key = (sum([k[0] for k in ascending]) - (n - 2), 1, tuple(ascending))
     order.reverse()
-    term = tuple([kids[i] for i in order])
     # swapping two children negates a bracket (skew-symmetry), so the sign
     # is the parity of the sort's permutation: undo it one transposition at
     # a time, each putting one index in its place
     sign = 1
+    perm = order[:]
     for i in range(n):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], j
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
             sign = -sign
-    return sign, term, key
+    return sign, order, key
 
 
 def _canonical(t: Term, n: int):
@@ -237,11 +237,10 @@ def _canonical(t: Term, n: int):
         sign *= s
         kids.append(cc)
         keys.append(k)
-    if sign == 0:
-        return 0, None, None
-    s, ordered, key = _bracket(kids, keys, n)
+    s, order, key = _bracket(keys, n) if sign else (0, None, None)
     if s == 0:
         return 0, None, None
+    ordered = tuple([kids[i] for i in order])
     # a canonical t is returned itself, so results share canonical subterms
     return sign * s, (t if ordered == t else ordered), key
 
@@ -442,7 +441,7 @@ def lc_format(lc: dict, n: int) -> str:
 
 # ---------------------------------------------------------------------------
 # The one bound of the tables kept across calls: `oracle.membership`'s memos
-# of normal forms and `rewrite._shared`'s brackets (a rewrite-corpus pass
+# of normal forms and `rewrite._shared_terms`' brackets (a rewrite-corpus pass
 # needs about 780).
 
 _TABLE_ENTRIES = 1 << 13

@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import pytest
 
 from nlie import basis
@@ -321,6 +324,25 @@ def test_left_normed_closed_count_is_the_length_of_its_build():
             for w in range(3, 7):
                 built = list(basis._basics(n, d, w, LEFT, cap))[-1]
                 assert basis._closed_count(n, d, w, LEFT, cap) == len(built), (n, d, w)
+
+
+def _per_rank_left_normed_count(n, d, w):
+    """The LEFT_NORMED closed count as it was summed before its binomial
+    ran from rank to rank: C(N - r + w - 3, w - 2) made afresh at each
+    rank r of the N tails."""
+    tails = comb(d, n - 1)
+    return sum(
+        (d - p[-1]) * comb(tails - r + w - 3, w - 2)
+        for r, p in enumerate(itertools.combinations(range(1, d + 1), n - 1))
+    )
+
+
+def test_left_normed_closed_count_matches_the_per_rank_sum():
+    # a grid, a weight far above the tails, and a cell whose count has 603 digits
+    grid = itertools.product(range(2, 6), range(1, 10), range(3, 10))
+    for n, d, w in [*grid, (3, 6, 40), (2, 1000, 1000)]:
+        want = _per_rank_left_normed_count(n, d, w)
+        assert basis._closed_count(n, d, w, LEFT, basis.DEFAULT_ENUMERATION_CAP) == want, (n, d, w)
 
 
 def test_left_normed_count_refuses_more_tails_than_the_cap_unsummed():

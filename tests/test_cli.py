@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import nlie
 from nlie import basis, cli, counting, terms
 
 
@@ -392,6 +393,12 @@ def test_the_oracle_is_independent_of_the_predicate_and_the_closed_forms():
     assert "nlie.oracle" not in child_output("import sys, nlie.basis; " + LOADED)
 
 
+def test_dir_lists_the_public_names_sorted():
+    names = dir(nlie)
+    assert names == sorted(names)
+    assert set(nlie.__all__) <= set(names) and "__version__" in names
+
+
 def test_public_names_resolve_on_first_use():
     # dir() is read before any name is used; a name resolves when it is
     # one of the loaded submodules or the same object as in one of them
@@ -641,6 +648,14 @@ def test_discrepancy_flag_mechanism_synthetic():
     values = {counting.WITT: 2, counting.EQ14: 0}
     flags = cli.discrepancy_flags(2, 2, values)
     assert flags == ["EQ14=0 vs WITT=2"]
+
+
+def test_a_row_with_no_reference_value_gets_no_vs_flag():
+    # n != 2, n != d, no oracle and no enumeration: the closed forms that
+    # disagree are not compared, and only the bound is checked
+    values = {counting.EQ14: 5, counting.EQ15: 7, counting.NECKLACE_BOUND: 6}
+    assert cli._reference_method(3, 4, values) is None
+    assert cli.discrepancy_flags(3, 4, values) == ["EQ15=7 exceeds NECKLACE_BOUND=6"]
 
 
 def test_compare_flags_negative_counts(capsys):

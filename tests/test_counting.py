@@ -217,6 +217,40 @@ def test_nonbasic_breakdown_identity():
     assert b2.total == b2.l_prime + b2.l_second + b2.l_star + b2.kappa
 
 
+# each argument check, one bound broken at a time
+BAD_ARGUMENTS = [
+    (witt, (0, 3)),
+    (witt, (3, 0)),
+    (necklace_bound, (1, 3, 3)),
+    (necklace_bound, (2, 0, 3)),
+    (necklace_bound, (2, 3, 0)),
+    (count_weight2, (1, 3)),
+    (count_weight2, (2, -1)),
+    (ladder, (1, 3)),
+    (ladder, (2, 0)),
+    (ladder_recursive, (2, 3)),
+    (ladder_recursive, (3, 0)),
+    (weightw_closed_form, (1, 3, 3)),
+    (weightw_closed_form, (3, 2, 3)),
+    (weightw_closed_form, (3, 3, 2)),
+    (nonbasic_breakdown, (1, 3, 3, None)),
+    (nonbasic_breakdown, (2, 0, 3, None)),
+    (nonbasic_breakdown, (2, 3, 1, None)),
+    (lie_expansion, (0,)),
+    (count_via_lie, (1, 3, 3)),
+    (count_via_lie, (3, 2, 3)),
+    (count_via_lie, (3, 3, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", BAD_ARGUMENTS, ids=[f"{fn.__name__}{args}" for fn, args in BAD_ARGUMENTS]
+)
+def test_bad_arguments_are_refused(fn, args):
+    with pytest.raises(ValueError, match=f"^{fn.__name__} requires "):
+        fn(*args)
+
+
 def test_lcs_quotient_dim():
     src = lambda n, d, w: witt(d, w)
     assert lcs_quotient_dim(2, 3, 2, 0, src) == 0

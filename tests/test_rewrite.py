@@ -197,8 +197,8 @@ def test_keyed_summands_match_canonicalizing_each_summand(n, d, w_max):
     for _, u, k in seeded:
         for path in _expandable_paths(u):
             want = [_canonical(s, n) for s in rewrite._summands(u, path, n)]
-            want = [r for r in want if r[0]]
-            got = list(rewrite._keyed_summands(u, k, path, n))
+            want = [(s, key) for s, _, key in want if s]
+            got = list(rewrite._keyed_summands(k, path, n))
             assert got == want, (u, path)
             checked += 1
             dropped += n - len(want)
@@ -271,6 +271,25 @@ def _same_run(t, n, cap=rewrite.DEFAULT_STEP_BUDGET):
     assert trace.steps == ref_trace.steps, t
     assert trace.capped == ref_trace.capped, t
     return lc, trace
+
+
+def test_collect_cancels_terms_as_the_reference_does(monkeypatch):
+    # random terms of weights 3-6, where now and then a Jacobi step cancels
+    # a term of the work combination: the reference's lc_add counts each
+    # sum it makes zero on a term that is not basic, so not in its output
+    cancelled = 0
+
+    def counting_add(lc, t, coeff):
+        nonlocal cancelled
+        cancelled += lc.get(t, 0) + coeff == 0 and not is_basic(t, n)
+        terms.lc_add(lc, t, coeff)
+
+    monkeypatch.setitem(globals(), "lc_add", counting_add)
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(2, 4)
+        _same_run(random_term(rng, n, n + 2, rng.randint(3, 6)), n, cap=2000)
+    assert cancelled > 0
 
 
 def _random_left_normed(rng, n, d, w):
@@ -350,16 +369,14 @@ class _CountingDict(dict):
 @pytest.mark.parametrize("bound", [0, 8, 64])
 def test_the_shared_table_keeps_its_bound_and_changes_no_result(monkeypatch, bound):
     # seeded left-normed terms on the collect fuzz cells: each result
-    # equals a run with no table and shares its own equal subterms, and
-    # the table never passes the bound
+    # equals the reference's, which keeps no table, and shares its own
+    # equal subterms, and the table never passes the bound
     rng = random.Random(bound)
     inputs = []
     for _ in range(120):
         n, d, w = rng.choice(FUZZ_CELLS)
         inputs.append((_random_left_normed(rng, n, d, rng.randint(2, w)), n))
-    with monkeypatch.context() as m:
-        m.setattr(rewrite, "_shared", lambda lc, room: lc)
-        plain = [list(collect(t, n)[0].items()) for t, n in inputs]
+    plain = [list(_collect_rekeying(t, n)[0].items()) for t, n in inputs]
     monkeypatch.setattr(terms, "_TABLE_ENTRIES", bound)
     monkeypatch.setattr(rewrite, "_SHARED", _CountingDict())
     kept = 0

@@ -388,7 +388,8 @@ def _pairwise_bracket(kids, keys, n: int):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_bracket_matches_the_pairwise_reference(n):
     # children drawn with repeats from a small pool of canonical terms of
-    # weights 1-3, so equal keys occur, passed as lists and as tuples
+    # weights 1-3, so equal keys occur, their keys passed as lists and as
+    # tuples; the bracket is the children taken in the order returned
     rng = random.Random(70 + n)
     pool = {}
     while len(pool) < 2 * n:
@@ -401,11 +402,12 @@ def test_bracket_matches_the_pairwise_reference(n):
         drawn = rng.choices(pool, k=n)
         kids, keys = [c for c, _ in drawn], [k for _, k in drawn]
         want = _pairwise_bracket(kids, keys, n)
-        for args in [(kids, keys), (tuple(kids), tuple(keys))]:
-            got = terms._bracket(*args, n)
-            assert got == want, args
-            if got[0]:  # a list never equals a tuple, so both are tuples
-                assert got[2] == term_key(got[1], n)  # as a walk of the bracket
+        for ks in [keys, tuple(keys)]:
+            s, order, key = terms._bracket(ks, n)
+            term = None if order is None else tuple(kids[i] for i in order)
+            assert (s, term, key) == want, ks
+            if s:  # a list never equals a tuple, so the key is all tuples
+                assert key == term_key(term, n)  # as a walk of the bracket
         signs[want[0]] += 1
     assert min(signs[-1], signs[0], signs[1]) >= 20, signs
 
