@@ -49,7 +49,8 @@ from math import comb
 from operator import itemgetter
 
 from .terms import (
-    Term, _cell_text, _int_text, _key_children, _runs, _walk, bracket_layers, layer_items,
+    Term, _cell_text, _check_cell, _int_text, _key_children, _runs, _walk, bracket_layers,
+    layer_items,
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -185,8 +186,7 @@ def _closed_count(n: int, d: int, w: int, mode: EnumerationMode, cap: int):
     C(d, n) cores at weight 2, so C(d, n) > cap raises its message unbuilt.
     Raises ValueError on a bad instance, so each entry point checks it
     before any other work."""
-    if n < 2 or d < 1 or w < 1:
-        raise ValueError(f"bad instance {_cell_text(n, d, w)}")
+    _check_cell(n, d, w)
     if w == 1:
         return d
     if w == 2:

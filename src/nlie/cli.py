@@ -10,9 +10,10 @@ report documents its reference policy in a leading comment line; empty
 fields mean "not applicable" or "uncomputed", never 0.
 
 Each command imports only the modules it runs, from inside the
-functions that run them: `--help`, `table --which 3|4` and the
-closed-form counts but necklace-bound and via-lie load `nlie.counting`
-alone.
+functions that run them, and `counting.count_by_method` evaluates every
+method of `count` and `compare`, importing the enumerator or the oracle
+only for their counts: `--help`, `table --which 3|4` and the closed-form
+counts but necklace-bound and via-lie load `nlie.counting` alone.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ ENUMERATE_BLOCK_LINES = 1024
 _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 
 
-# the `basis.EnumerationMode` member name of each enumeration count-method
-# tag, so that only a command that enumerates imports `nlie.basis`
-_ENUM_MODES = {counting.ENUM_FULL: "FULL_RULE3", counting.ENUM_LEFT: "LEFT_NORMED"}
-
-# those tags by their `enumerate --mode` name: the tag without its ENUM_ prefix
-_MODE_NAMES = {tag.removeprefix("ENUM_").lower(): tag for tag in _ENUM_MODES}
+# `basis.EnumerationMode` member names by their `enumerate --mode` name:
+# the enumeration count tag without its ENUM_ prefix
+_MODE_NAMES = {t.removeprefix("ENUM_").lower(): m for t, m in counting.ENUM_MODES.items()}
 
 
 def _bounds() -> dict:
@@ -52,20 +50,6 @@ def _bounds() -> dict:
         basis.EnumerationCapExceeded: "enumeration cap",
         oracle.InstanceCeilingExceeded: "oracle ceiling",
     }
-
-
-def _cell_value(tag: str, n: int, d: int, w: int, oracle_ceiling: int):
-    """Value of one method on one cell, or None when it does not apply.
-    Raises one of the `_bounds()` exceptions when a bound stops it."""
-    if tag in _ENUM_MODES:
-        from . import basis
-
-        return basis.count_by_enumeration(n, d, w, basis.EnumerationMode[_ENUM_MODES[tag]])
-    if tag == counting.ORACLE:
-        from . import oracle
-
-        return oracle.graded_dimension(n, d, w, ceiling=oracle_ceiling)
-    return counting.count_by_method(tag, n, d, w)
 
 
 class _Unprintable(ValueError):
@@ -85,7 +69,7 @@ def _value_text(method: str, value, n: int, d: int, w: int) -> str:
 
 def cmd_count(args) -> int:
     try:
-        value = _cell_value(
+        value = counting.count_by_method(
             _METHOD_NAMES[args.method], args.n, args.d, args.w, args.oracle_ceiling
         )
     except tuple(_bounds()) as exc:
@@ -118,7 +102,7 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import basis, terms
 
-    mode = basis.EnumerationMode[_ENUM_MODES[_MODE_NAMES[args.mode]]]
+    mode = basis.EnumerationMode[_MODE_NAMES[args.mode]]
     try:
         lines = basis.iter_basic(args.n, args.d, args.w, mode, text=True)
     except basis.EnumerationCapExceeded as exc:
@@ -246,7 +230,7 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
         values = {}
         for tag in counting.METHODS:
             try:
-                values[tag] = _cell_value(tag, n, d, w, oracle_ceiling)
+                values[tag] = counting.count_by_method(tag, n, d, w, oracle_ceiling)
             except tuple(_bounds()):
                 values[tag] = None
         row = [str(n), str(d), str(w)]

@@ -5,9 +5,13 @@ expansion of binomial coefficients into free-Lie graded dimensions, in
 closed form from the Stirling numbers of the first kind and the necklace
 identity d^k = sum_{s|k} s l_d(s).
 
+`count_by_method` evaluates every tag of METHODS, the enumeration
+counts and the oracle's through their own modules.
+
 Everything is exact: integers and `fractions.Fraction` throughout.
-`fractions` and `nlie.terms` are imported by the functions that use
-them, so a closed-form count from a cold `nlie` loads neither.
+`fractions`, `nlie.terms`, `nlie.basis` and `nlie.oracle` are imported
+by the functions or branches that use them, so a cold `nlie` loads only
+what the count it runs needs.
 
 The closed forms are evaluated literally, even where they disagree with
 each other (the weight-3 double sum gives 11 at n=d=4 where the ladder
@@ -51,6 +55,10 @@ METHODS = (
     ENUM_LEFT,
     ORACLE,
 )
+
+# the `basis.EnumerationMode` member name of each enumeration tag, so that
+# only an enumeration count imports `nlie.basis`
+ENUM_MODES = {ENUM_FULL: "FULL_RULE3", ENUM_LEFT: "LEFT_NORMED"}
 
 
 def moebius(k: int) -> int:
@@ -294,10 +302,12 @@ def lcs_quotient_dim(n: int, d: int, i: int, c: int, l_source) -> int:
     return sum(l_source(n, d, k) for k in range(i, i + c))
 
 
-def count_by_method(method: str, n: int, d: int, w: int) -> Optional[int]:
-    """Dispatch a method tag to its formula; None when the method does not
-    apply to the cell.  Oracle and enumeration methods are not handled
-    here (they live in their own modules)."""
+def count_by_method(method: str, n: int, d: int, w: int, oracle_ceiling=None) -> Optional[int]:
+    """The value of a METHODS tag on one cell; None when the method does
+    not apply to it.  The enumeration counts run `basis.count_by_enumeration`
+    in their ENUM_MODES reading, and ORACLE runs `oracle.graded_dimension`
+    under `oracle_ceiling`, else the oracle's default ceiling; each module
+    is imported by its branch alone, and raises its bound's exception."""
     if method == WITT:
         return witt(d, w) if n == 2 else None
     if method == NECKLACE_BOUND:
@@ -319,4 +329,13 @@ def count_by_method(method: str, n: int, d: int, w: int) -> Optional[int]:
             v = count_via_lie(n, d, w)
             return int(v) if v.denominator == 1 else v
         return None
+    if method in ENUM_MODES:
+        from . import basis
+
+        return basis.count_by_enumeration(n, d, w, basis.EnumerationMode[ENUM_MODES[method]])
+    if method == ORACLE:
+        from . import oracle
+
+        ceiling = oracle.DEFAULT_CEILING if oracle_ceiling is None else oracle_ceiling
+        return oracle.graded_dimension(n, d, w, ceiling=ceiling)
     raise ValueError(f"unknown method {method!r}")

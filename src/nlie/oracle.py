@@ -52,11 +52,12 @@ import os
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from .terms import (
     _cell_text,
+    _check_cell,
     _int_text,
     _room,
     _walk,
@@ -101,17 +102,33 @@ def _choices(total: int, parts: int, pools) -> list:
 # last: membership sizes its cell on every call
 _slice_count = lru_cache(maxsize=16)(lambda n, d, w: bracket_counts(n, d, w)[w])
 
+# the heaviest slice sized by the exact walk alone, so that its refusal
+# names its size; the walk's child-weight profiles grow with the weight
+_EXACT_WEIGHTS = 16
+
 
 def _slice_size(n: int, d: int, w: int, ceiling: int) -> int:
     """The number of weight-w monomials, counted without a build.  Raises
     ValueError on a bad instance and InstanceCeilingExceeded when the size
-    is above `ceiling`."""
-    if n < 2 or d < 1 or w < 1:
-        raise ValueError(f"bad instance {_cell_text(n, d, w)}")
-    size = _slice_count(n, d, w)
+    is above `ceiling`.  Past weight _EXACT_WEIGHTS the size is bounded
+    from below first, with no walk: for d >= n each [b, y_2,...,y_n] with
+    b of weight v - 1 and generators y_2 > ... > y_n is canonical, so there
+    are at least C(d, n) C(d, n-1)^(w-2), multiplied out only until past
+    the ceiling (C(d, n-1) >= 2, so a few dozen factors at most), and a
+    bound past it refuses the cell as "at least" that many."""
+    _check_cell(n, d, w)
+    bounded = False
+    if w > _EXACT_WEIGHTS:
+        size, factor, k = comb(d, n), comb(d, n - 1), w - 2  # size 0 when d < n
+        while 0 < size <= ceiling and k:
+            size, k = size * factor, k - 1
+        bounded = size > ceiling
+    if not bounded:
+        size = _slice_count(n, d, w)
     if size > ceiling:
         raise InstanceCeilingExceeded(
-            f"{_int_text(size)} monomials at {_cell_text(n, d, w)} exceeds ceiling {ceiling}"
+            f"{'at least ' * bounded}{_int_text(size)} monomials at {_cell_text(n, d, w)} "
+            f"exceeds ceiling {ceiling}"
         )
     return size
 

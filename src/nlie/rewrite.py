@@ -37,6 +37,7 @@ from .terms import (
     canonicalize,
     is_leaf,
     lc_add,
+    lc_from_term,
     lc_merge,
 )
 
@@ -114,9 +115,7 @@ def expand_jacobi(t: Term, path: tuple, n: int) -> dict:
     canonicalize(t, n)  # raises on a malformed t
     lc: dict = {}
     for summand in _summands(t, path, n):
-        s, ct = canonicalize(summand, n)
-        if s != 0:
-            lc_add(lc, ct, Fraction(s))
+        lc_merge(lc, lc_from_term(summand, n))
     return lc
 
 

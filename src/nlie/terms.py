@@ -33,7 +33,10 @@ LT, EQ, GT = -1, 0, 1
 # MAX_DEPTH others.  Checking and keying a term (`_canonical`, `_walk`)
 # still take one Python frame per level, so the bound sits below CPython's
 # default recursion limit of 1000, with room for the caller's frames, and
-# every supported Python answers alike.
+# every supported Python answers alike.  That room is small: called from a
+# stack already about 35 frames deep, `term_key`, `canonicalize` and
+# `rewrite.collect` raise RecursionError on a 960-deep term that `parse`
+# accepts (the CLI calls them from a shallow stack).
 MAX_DEPTH = 960
 
 
@@ -392,6 +395,13 @@ def _cell_text(n: int, d: int, w: int) -> str:
     """The cell as a bound message names it, "(n=.., d=.., w=..)", each
     number by `_int_text`."""
     return f"(n={_int_text(n)}, d={_int_text(d)}, w={_int_text(w)})"
+
+
+def _check_cell(n: int, d: int, w: int) -> None:
+    """The one check of a cell that the oracle and the enumerator count:
+    ValueError unless n >= 2, d >= 1 and w >= 1."""
+    if n < 2 or d < 1 or w < 1:
+        raise ValueError(f"bad instance {_cell_text(n, d, w)}")
 
 
 # ---------------------------------------------------------------------------

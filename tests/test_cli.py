@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nlie
-from nlie import basis, cli, counting, terms
+from nlie import basis, cli, counting, oracle, terms
 
 
 def run(capsys, *argv):
@@ -599,6 +600,46 @@ def test_compare_columns_and_count_names_follow_methods(capsys):
     assert sorted(cli._METHOD_NAMES.values()) == sorted(counting.METHODS)
     for tag in counting.METHODS:
         assert cli._METHOD_NAMES[tag.lower().replace("_", "-")] == tag
+
+
+# cells past the grid below where the enumeration cap stops a count
+ENUMERATION_CAP_CELLS = [
+    (counting.ENUM_FULL, 3, 9, 7),
+    (counting.ENUM_LEFT, 2, 10**8, 3),
+]
+
+
+@pytest.mark.parametrize("ceiling", [cli.DEFAULT_COMPARE_ORACLE_CEILING, 0])
+def test_count_prints_what_count_by_method_gives(capsys, monkeypatch, ceiling):
+    # every METHODS tag on n 2-4, d 1-5, w 1-5: `count` prints the value
+    # count_by_method gives, says "does not apply" exactly where it gives
+    # None, and names the bound whose exception it raises
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    bounds = {
+        basis.EnumerationCapExceeded: "enumeration cap",
+        oracle.InstanceCeilingExceeded: "oracle ceiling",
+    }
+    grid = itertools.product(counting.METHODS, range(2, 5), range(1, 6), range(1, 6))
+    stopped = {}
+    for tag, n, d, w in [*grid, *ENUMERATION_CAP_CELLS]:
+        name = tag.lower().replace("_", "-")
+        code, out, err = run(capsys, "count", "--n", str(n), "--d", str(d), "--w", str(w),
+                             "--method", name, "--oracle-ceiling", str(ceiling))
+        try:
+            value = counting.count_by_method(tag, n, d, w, ceiling)
+        except tuple(bounds) as exc:
+            assert (code, out) == (1, ""), (tag, n, d, w)
+            assert err == f"method {name} stopped by the {bounds[type(exc)]}: {exc}\n"
+            stopped[type(exc)] = stopped.get(type(exc), 0) + 1
+            continue
+        if value is None:
+            assert (code, out) == (1, ""), (tag, n, d, w)
+            assert err == f"method {name} does not apply to (n={n}, d={d}, w={w})\n"
+        else:
+            assert (code, out) == (0, f"{value}\n"), (tag, n, d, w)
+            assert ("gives a negative value" in err) == (value < 0), (tag, n, d, w)
+    assert stopped[basis.EnumerationCapExceeded] == len(ENUMERATION_CAP_CELLS)
+    assert stopped[oracle.InstanceCeilingExceeded] > 0
 
 
 # Frozen output of `nlie compare --n 4 --d 4 --w-max 4`: pins the column

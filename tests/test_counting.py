@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from nlie import counting
+from nlie import counting, oracle
 from nlie.counting import (
     count_via_lie,
     count_weight2,
@@ -268,5 +268,11 @@ def test_count_by_method_dispatch():
     assert counting.count_by_method(counting.LADDER, 3, 4, 4) is None
     assert counting.count_by_method(counting.EQ14, 4, 4, 3) == 11
     assert counting.count_by_method(counting.EQ16, 3, 3, 4) == weightw_closed_form(3, 3, 4)
-    with pytest.raises(ValueError):
+    # the enumeration counts and the oracle, where FULL_RULE3 over-counts
+    assert [counting.count_by_method(tag, 3, 3, 4) for tag in counting.METHODS] == [
+        None, 312, None, 6, 6, None, 6, 6, 6, 7, 6, 6
+    ]
+    with pytest.raises(oracle.InstanceCeilingExceeded):
+        counting.count_by_method(counting.ORACLE, 3, 3, 4, oracle_ceiling=0)
+    with pytest.raises(ValueError, match="^unknown method 'NOPE'$"):
         counting.count_by_method("NOPE", 2, 2, 2)

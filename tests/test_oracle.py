@@ -2,9 +2,12 @@ import functools
 import gc
 import json
 import random
+import re
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd, lcm
 
 import pytest
@@ -859,6 +862,38 @@ def test_a_ceiling_message_names_an_unprintable_cell_by_its_digit_count(monkeypa
         "<a 10000-digit number> monomials at (n=2, d=<a 5001-digit number>, w=2) "
         "exceeds ceiling 200000"
     )
+
+
+def test_a_heavy_slice_is_refused_by_its_lower_bound_fast(monkeypatch):
+    # the exact walk of (2,3,3200) visits 2.56 million weight profiles; its
+    # lower bound C(3,2) C(3,1)^(w-2) = 3^(w-1) passes the ceiling at 3^12
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(InstanceCeilingExceeded) as exc:
+        graded_dimension(2, 3, 3200)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == (
+        "at least 531441 monomials at (n=2, d=3, w=3200) exceeds ceiling 200000"
+    )
+
+
+@pytest.mark.parametrize("w", [oracle._EXACT_WEIGHTS, oracle._EXACT_WEIGHTS + 1, 24])
+def test_the_lower_bound_refuses_only_slices_above_the_ceiling(w):
+    # each cell is admitted at its exact size, and refused below it with a
+    # number above the ceiling and at most the size: the size itself up to
+    # _EXACT_WEIGHTS, past it now and then a lower bound
+    bounded = 0
+    for n, d in product(range(2, 5), range(1, 7)):
+        size = bracket_counts(n, d, w)[w]
+        assert oracle._slice_size(n, d, w, size) == size
+        for ceiling in sorted({0, size // 2, size - 1}) if size else ():
+            with pytest.raises(InstanceCeilingExceeded) as exc:
+                oracle._slice_size(n, d, w, ceiling)
+            m = re.fullmatch(r"(at least )?(\d+) monomials at .* ceiling \d+", str(exc.value))
+            assert ceiling < int(m.group(2)) <= size, (n, d, w, ceiling)
+            assert m.group(1) is None or w > oracle._EXACT_WEIGHTS, (n, d, w, ceiling)
+            bounded += m.group(1) is not None
+    assert bounded > 0 or w <= oracle._EXACT_WEIGHTS
 
 
 def test_membership_names_an_unprintable_cell_by_its_digit_count():

@@ -292,6 +292,34 @@ def test_collect_cancels_terms_as_the_reference_does(monkeypatch):
     assert cancelled > 0
 
 
+def test_collect_matches_the_reference_on_terms_with_distinct_letters():
+    # most `random_term` draws repeat a letter in a bracket and vanish; these
+    # have distinct letters in each bracket, as the bench corpus has: 4 % of
+    # them vanish, and 348 take a Jacobi step, where 111 of the first 1000
+    # `random_term` draws above do
+    rng = random.Random(6)
+    rewritten = 0
+    for _ in range(1000):
+        n = rng.randint(2, 4)
+        t = _random_distinct_term(rng, n, n + 2, rng.randint(3, 6))
+        _, trace = _same_run(t, n, cap=2000)
+        rewritten += any(step[0] == JACOBI for step in trace.steps)
+    assert rewritten == 348
+
+
+def _random_distinct_term(rng, n, d, w):
+    """A random term of weight w, shaped as `random_term` shapes it, whose
+    generator children of each bracket are distinct letters."""
+
+    def relabel(u):
+        if is_leaf(u):
+            return u
+        letters = iter(rng.sample(range(1, d + 1), n))
+        return tuple(next(letters) if is_leaf(c) else relabel(c) for c in u)
+
+    return relabel(random_term(rng, n, d, w))
+
+
 def _random_left_normed(rng, n, d, w):
     """A left-normed term of weight w whose core and tails each have
     distinct letters, as in the bench corpus."""
