@@ -58,8 +58,10 @@ from typing import NamedTuple, Optional
 from .terms import (
     _cell_text,
     _check_cell,
+    _descending,
     _int_text,
     _room,
+    _slot,
     _walk,
     bracket_counts,
     bracket_layers,
@@ -158,13 +160,9 @@ def _put(bracket: dict, coeff: int, pos: int, x: int, sibs: tuple):
     """Canonicalize coeff times the bracket of the strictly descending ids
     `sibs` with id x in raw slot `pos`: (coeff, id), coeff negated once per
     slot x moves, or None when x equals a sibling (the bracket vanishes)."""
-    q = 0
-    for s in sibs:
-        if s <= x:
-            if s == x:
-                return None
-            break
-        q += 1
+    q = _slot(sibs, x)
+    if q is None:
+        return None
     return (-coeff if (pos - q) & 1 else coeff), bracket[sibs[:q] + (x,) + sibs[q:]]
 
 
@@ -334,7 +332,7 @@ class _Tower:
             self.bracket.update(zip(found, ids))
             self.content += [sum(map(self.content.__getitem__, kids)) for kids in found]
             ech = _Echelon()
-            for row in sorted(self.rows(v), key=max):
+            for row in sorted(self.rows(v) if found else (), key=max):  # rows need columns
                 ech.insert(row)
             self.standard[v] = [i for i in ids if i not in ech.pivots]
             self.forms.update((i, _unit(i)) for i in self.standard[v])
@@ -376,8 +374,9 @@ class _Tower:
     def normal_form(self, t, letters: dict, memo: dict) -> tuple:
         """(den, row): term t, generator g read as id letters[g], is row over
         den, on standard ids.  Every pick of one id from each child's row is
-        multiplied out: a pick of distinct ids is sorted, with the sign of
-        the sort, into its bracket's form.  memo maps each bracket of t
+        multiplied out: a pick of distinct ids is sorted by
+        `terms._descending`, with the sign of the sort, into its bracket's
+        form; a pick with an id twice vanishes.  memo maps each bracket of t
         already done under this letter map to its form, and gains the rest;
         `membership` passes its tower's memo of the letter order."""
         if isinstance(t, int):
@@ -387,11 +386,10 @@ class _Tower:
             kids = [self.normal_form(c, letters, memo) for c in t]
             parts = []
             for pick in product(*(row.items() for _, row in kids)):
-                ids = [k for k, _ in pick]
-                if len(set(ids)) == len(ids):  # else the bracket vanishes
-                    flips = sum(a < b for i, a in enumerate(ids) for b in ids[i + 1 :])
-                    f = (-1) ** flips * prod(c for _, c in pick)
-                    den, cols, xs = self.forms[self.bracket[tuple(sorted(ids, reverse=True))]]
+                sign, ids, _ = _descending([k for k, _ in pick])
+                if sign:  # else the bracket vanishes
+                    f = sign * prod(c for _, c in pick)
+                    den, cols, xs = self.forms[self.bracket[tuple(ids)]]
                     parts.append((den, [(f * x, k) for k, x in zip(cols, xs)]))
             den, row = _combine(parts)
             den *= prod(den for den, _ in kids)

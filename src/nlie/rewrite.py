@@ -13,7 +13,9 @@ identity applies at the deepest offending node until only basic terms
 remain.  It runs on term keys alone, a canonical term being a function
 of its key: `basis._nonbasic_path` finds the node to expand on a key,
 under the FULL_RULE3 rule, and a step re-keys only the path from the
-expanded bracket up to the root.  The result's terms are made once from
+expanded bracket up to the root, putting each node's one new child among
+its other children, still in order, with `terms._slot`: no node is
+sorted.  The result's terms are made once from
 its keys, and equal subterms of all results, across calls, are one
 object, through one table that `terms._room` bounds.
 
@@ -30,10 +32,10 @@ from .basis import _nonbasic_path
 from .terms import (
     MAX_DEPTH,
     Term,
-    _bracket,
     _canonical,
     _key_children,
     _room,
+    _slot,
     canonicalize,
     is_leaf,
     lc_add,
@@ -81,29 +83,32 @@ def _keyed_summands(k: tuple, path: tuple, n: int):
     """The nonzero results of `_canonical` on `_summands(u, path, n)`, in
     that order, for the canonical u with term_key k: (sign, key), read off
     k alone.  Only the path from the expanded bracket up to the root is
-    re-keyed.  The new inner bracket, the head it lands in and each
-    ancestor are sorted by `_bracket` from their children's keys, which
-    off the path are read from k as they are."""
-    spine = []  # (a node's children's keys, its slot on the path), root first
+    re-keyed, and each node on it has one new child among siblings that
+    are still strictly descending: the head's child among the ys, the new
+    inner bracket among the head's other children, and each re-keyed node
+    among its parent's other children, each put in place by `_slot`.  The
+    sign flips once per slot a child moves, and a child put beside an equal
+    one drops the summand.  A Jacobi step keeps weights: the head has the
+    expanded bracket's, and each ancestor its own."""
+    spine = []  # (a node's weight, its other children's keys, the slot), the root last
     for p in path:
         ks = _key_children(k)
-        spine.append((ks, p))
+        spine.insert(0, (k[0], ks[:p] + ks[p + 1 :], p))
         k = ks[p]
     ks = _key_children(k)
-    head_keys, ys_keys = _key_children(ks[0]), ks[1:]
-    spine.reverse()  # the expanded bracket's parent first, the root last
-    for i in range(n):
-        s, _, tk = _bracket((head_keys[i],) + ys_keys, n)
-        if s == 0:
-            continue
-        # head with the new bracket in slot i, then each ancestor in turn
-        for node_keys, p in [(head_keys, i)] + spine:
-            keys = list(node_keys)
-            keys[p] = tk
-            sp, _, tk = _bracket(keys, n)
-            if sp == 0:
+    hs, ys = _key_children(ks[0]), ks[1:]
+    added = k[0] - ks[0][0]  # the inner bracket's weight less its head child's
+    for i, h in enumerate(hs):
+        tk, s = h, 1
+        # h put in slot 0 of the new inner bracket, that in slot i of the
+        # head, and the head and each re-keyed node in turn in its parent
+        for v, sibs, p in [(added + h[0], ys, 0), (k[0], hs[:i] + hs[i + 1 :], i)] + spine:
+            q = _slot(sibs, tk)
+            if q is None:
                 break
-            s *= sp
+            if (p - q) & 1:
+                s = -s
+            tk = (v, 1, (sibs[:q] + (tk,) + sibs[q:])[::-1])
         else:
             yield s, tk
 

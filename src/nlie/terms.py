@@ -191,31 +191,47 @@ class SignedTerm(NamedTuple):
     term: Optional[Term]  # None iff sign == 0
 
 
+def _slot(sibs, x) -> Optional[int]:
+    """The place of x among the strictly descending `sibs`, how many of
+    them are greater than x, or None if x equals one of them: the one step
+    that orders a bracket's children, on term keys or on ids.  Put into a
+    bracket's slot `pos`, x moves pos - place slots, and each move negates
+    the bracket (skew-symmetry)."""
+    for s in sibs:
+        if s <= x:  # the first sibling not above x: its index counts those above
+            return None if s == x else sibs.index(s)
+    return len(sibs)
+
+
+def _descending(xs):
+    """(sign, descending, order) for the items xs, ints or term keys:
+    `descending` holds them strictly descending, `order` lists their
+    indices in that order, and the sign is that of the sort; (0, None,
+    None) if two are equal.  Each item is put by `_slot` among those put
+    before it, so the sign is that of the number of places items move."""
+    descending, order, moves = [], [], 0
+    for i, x in enumerate(xs):
+        q = _slot(descending, x)
+        if q is None:
+            return 0, None, None
+        descending.insert(q, x)
+        order.insert(q, i)
+        moves += i - q
+    return (-1 if moves & 1 else 1), descending, order
+
+
 def _bracket(keys, n: int):
     """The canonical bracket of canonical children whose term_keys are
     `keys`: (sign, order, term_key), or (0, None, None) if two keys are
     equal.  `order` lists the children's indices strictly descending, the
     sign is that of the sort, and the key holds the children's keys
-    ascending, built from theirs with no walk of any child.  One sort of
-    the n keys: equal keys are neighbours in its order."""
-    order = sorted(range(n), key=keys.__getitem__)
-    ascending = [keys[i] for i in order]
-    for i in range(1, n):
-        if ascending[i - 1] == ascending[i]:
-            return 0, None, None
-    key = (sum([k[0] for k in ascending]) - (n - 2), 1, tuple(ascending))
-    order.reverse()
-    # swapping two children negates a bracket (skew-symmetry), so the sign
-    # is the parity of the sort's permutation: undo it one transposition at
-    # a time, each putting one index in its place
-    sign = 1
-    perm = order[:]
-    for i in range(n):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], j
-            sign = -sign
-    return sign, order, key
+    ascending, built from theirs with no walk of any child: the n keys
+    put one at a time by `_descending`."""
+    sign, keys, order = _descending(keys)
+    if not sign:
+        return 0, None, None
+    keys.reverse()  # ascending, as a bracket's key holds them
+    return sign, order, (sum([k[0] for k in keys]) - (n - 2), 1, tuple(keys))
 
 
 def _canonical(t: Term, n: int):
@@ -286,10 +302,13 @@ def weight_multisets(total: int, parts: int, cap: int):
             ]
 
 
-def _child_profiles(n: int, v: int):
+def _child_profiles(n: int, v: int, kept):
     """The child weights of a weight-v bracket: non-increasing n-tuples of
-    weights below v that sum to v + n - 2."""
-    return weight_multisets(v + n - 2, n, v - 1)
+    weights below v that sum to v + n - 2.  None above weight 2 when
+    kept[2], the brackets a build keeps at weight 2 or their number, is
+    empty: every bracket holds one of weight 2 (with d < n, from weight 2
+    on a cell is empty)."""
+    return weight_multisets(v + n - 2, n, v - 1) if v == 2 or kept[2] else ()
 
 
 def _runs(ws: tuple) -> list:
@@ -335,7 +354,7 @@ def bracket_layers(n: int, d: int, w: int, children=distinct_descending):
     pools = {1: range(d)}
     for v in range(2, w + 1):
         found = []
-        for ws in _child_profiles(n, v):
+        for ws in _child_profiles(n, v, pools):
             found += children(ws, pools, sub)
         for j in range(n):
             found.sort(key=itemgetter(j))
@@ -374,7 +393,7 @@ def bracket_counts(n: int, d: int, w: int) -> list:
         counts.append(
             sum(
                 prod(comb(counts[u], k) for u, k in _runs(ws))
-                for ws in _child_profiles(n, v)
+                for ws in _child_profiles(n, v, counts)
             )
         )
     return counts

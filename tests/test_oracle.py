@@ -877,6 +877,20 @@ def test_a_heavy_slice_is_refused_by_its_lower_bound_fast(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 1), (5, 4)])
+def test_a_cell_with_fewer_letters_than_the_arity_is_0_fast(monkeypatch, n, d):
+    # no bracket at weight 2, so none above it: sizing, the build and the
+    # tower skip every weight profile past weight 2 (at (3,2,160) the walk
+    # took 17 s)
+    monkeypatch.delenv(oracle.CACHE_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    assert bracket_counts(n, d, 3200) == [0, d] + [0] * 3199
+    assert [len(found) for found in bracket_layers(n, d, 3200)] == [0] * 3199
+    assert graded_dimension(n, d, 3200) == 0
+    assert graded_monomials(n, d, 3200).monomials == []
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("w", [oracle._EXACT_WEIGHTS, oracle._EXACT_WEIGHTS + 1, 24])
 def test_the_lower_bound_refuses_only_slices_above_the_ceiling(w):
     # each cell is admitted at its exact size, and refused below it with a

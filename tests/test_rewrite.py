@@ -185,7 +185,10 @@ def _root_vanishing(n):
     return (a, ((head[0],) + ys,) + head[1:]) + tuple(range(2 * n, 3 * n - 2))
 
 
-@pytest.mark.parametrize("n,d,w_max", [(2, 3, 7), (3, 5, 6), (4, 6, 5)])
+# n - 1 odd and even, and keys eleven brackets deep at (2, 3, 12)
+@pytest.mark.parametrize(
+    "n,d,w_max", [(2, 3, 7), (3, 5, 6), (4, 6, 5), (5, 8, 6), (6, 9, 5), (2, 3, 12)]
+)
 def test_keyed_summands_match_canonicalizing_each_summand(n, d, w_max):
     rng = random.Random(31 + n)
     seeded = [_canonical(_root_vanishing(n), n)]
@@ -193,7 +196,9 @@ def test_keyed_summands_match_canonicalizing_each_summand(n, d, w_max):
         r = _canonical(random_term(rng, n, d, rng.randint(3, w_max)), n)
         if r[0]:
             seeded.append(r)
-    checked = dropped = 0
+    # and left-normed terms, whose deepest node to expand is w_max - 3 below the root
+    seeded += [_canonical(_random_left_normed(rng, n, d, w_max), n) for _ in range(4)]
+    checked = dropped = deepest = 0
     for _, u, k in seeded:
         for path in _expandable_paths(u):
             want = [_canonical(s, n) for s in rewrite._summands(u, path, n)]
@@ -202,7 +207,8 @@ def test_keyed_summands_match_canonicalizing_each_summand(n, d, w_max):
             assert got == want, (u, path)
             checked += 1
             dropped += n - len(want)
-    assert checked >= 40 and dropped > 0
+            deepest = max(deepest, len(path))
+    assert checked >= 40 and dropped > 0 and deepest == w_max - 3
 
 
 def _deepest_nonbasic_path(t, n):
@@ -467,3 +473,22 @@ def test_collect_output_is_frozen():
     assert (len(records), capped, sum(len(r[1]) for r in records)) == (432, 144, 6473)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "c25b26bd6a491f5b26eadc0c1bdff9909ea106a03d146858d4c153deb963adf6"
+
+
+def test_collect_output_is_frozen_at_arity_5_and_from_weight_10():
+    # seeded left-normed terms at n = 5, uncapped and at cap 4, and at n = 2
+    # of weights 10 and 11, nine and ten brackets deep, at caps 400 and 4
+    rng = random.Random(35)
+    records = []
+    runs = [
+        (5, 7, [5, 6] * 8 + [7] * 4, [rewrite.DEFAULT_STEP_BUDGET, 4]),
+        (2, 4, [10, 11] * 4, [400, 4]),
+    ]
+    for n, d, ws, caps in runs:
+        for w in ws:
+            t = _random_left_normed(rng, n, d, w)
+            records += [_frozen_record(*collect(t, n, cap=cap)) for cap in caps]
+    capped = sum(r[2] for r in records)
+    assert (len(records), capped, sum(len(r[1]) for r in records)) == (56, 24, 4062)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "41e1e228e1a9ef5aaa5e8ebad4e6f8a640ef23d15b449a5e935fc1a8aac5b573"

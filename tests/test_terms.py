@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_term
-from nlie import basis, terms
+from nlie import basis, oracle, terms
 from nlie.basis import EnumerationMode, is_basic
 from nlie.oracle import graded_monomials
 from nlie.rewrite import collect, expand_jacobi
@@ -368,21 +368,71 @@ def test_canonicalize_idempotent_and_parity():
             assert (s2, ct2) == (-s, ct)
 
 
-def _pairwise_bracket(kids, keys, n: int):
-    """terms._bracket as it was before it sorted once: the sign from
-    pairwise key compares, then a descending sort."""
+def _pairwise_sign(keys) -> int:
+    """The sign of the sort of keys descending, from pairwise compares: 0
+    if two are equal, else flipped by each pair out of descending order."""
     sign = 1
-    # each pair out of descending order flips the sign of the sort
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:
             if a == b:
-                return 0, None, None
+                return 0
             if a < b:
                 sign = -sign
+    return sign
+
+
+def _pairwise_bracket(kids, keys, n: int):
+    """terms._bracket as it was before it sorted once: the sign from
+    pairwise key compares, then a descending sort."""
+    sign = _pairwise_sign(keys)
+    if sign == 0:
+        return 0, None, None
     order = sorted(range(len(kids)), key=keys.__getitem__, reverse=True)
     ascending = tuple(keys[i] for i in reversed(order))
     key = (sum(k[0] for k in keys) - (n - 2), 1, ascending)
     return sign, tuple(kids[i] for i in order), key
+
+
+class _Same(dict):
+    """A bracket table that names each child-id tuple by itself."""
+
+    def __missing__(self, ids):
+        return ids
+
+
+@pytest.mark.parametrize("on", ["ids", "keys"])
+def test_slot_counts_the_greater_siblings(on):
+    # x drawn from the siblings' own pool, so that it often equals one of
+    # them; each put, in every raw slot, signs as the pairwise compares
+    # do, also through oracle._put on ids
+    rng = random.Random(35)
+    pool = list(range(8))
+    if on == "keys":  # canonical terms of weights 1-3 at n = 3
+        keys = {}
+        while len(keys) < 8:
+            s, ct, k = terms._canonical(random_term(rng, 3, 4, rng.randint(1, 3)), 3)
+            if s:
+                keys[ct] = k
+        pool = list(keys.values())
+    seen = Counter()
+    for m in range(1, 6):
+        for _ in range(300):
+            sibs = tuple(sorted(rng.sample(pool, m), reverse=True))
+            x = rng.choice(pool)
+            q = terms._slot(sibs, x)
+            assert (q is None) == (x in sibs), (sibs, x)
+            seen[m, q is None] += 1
+            if q is None:
+                continue
+            assert q == sum(s > x for s in sibs), (sibs, x)
+            for pos in range(m + 1):
+                raw = sibs[:pos] + (x,) + sibs[pos:]
+                sign = _pairwise_sign(raw)
+                assert (-1 if (pos - q) & 1 else 1) == sign, (raw, q)
+                if on == "ids":
+                    put = sibs[:q] + (x,) + sibs[q:]
+                    assert oracle._put(_Same(), 5, pos, x, sibs) == (5 * sign, put)
+    assert min(seen[m, hit] for m in range(1, 6) for hit in (True, False)) >= 20, seen
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
