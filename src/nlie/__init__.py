@@ -3,7 +3,16 @@ counting formulas, and an exact graded-dimension oracle.
 
 Submodules load on first use (PEP 562): `import nlie` runs none of them,
 and a public name loads only the submodule that defines it and what
-that submodule imports."""
+that submodule imports.
+
+`_Bound` is the base of the exceptions that a work bound raises:
+`EnumerationCapExceeded` and `InstanceCeilingExceeded`.  Each names its
+bound in the class attribute `bound`.  This file imports no submodule,
+and every submodule loads it, so catching `_Bound` loads none.
+
+Names that are not exported stay reachable by their submodule's path.
+One is `nlie.oracle.relation_rows`, the whole-slice reference that the
+oracle's tower is tested against."""
 
 from importlib import import_module
 
@@ -19,8 +28,7 @@ _EXPORTS = {
         "weight4_closed_form", "weightw_closed_form", "witt",
     ),
     "oracle": (
-        "InstanceCeilingExceeded", "graded_dimension", "graded_monomials",
-        "membership", "relation_rows",
+        "InstanceCeilingExceeded", "graded_dimension", "graded_monomials", "membership",
     ),
     "rewrite": ("RewriteTrace", "collect", "collect_lc", "expand_jacobi"),
     "terms": (
@@ -33,6 +41,12 @@ _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in (mod, *names
 
 __all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
+
+
+class _Bound(RuntimeError):
+    """A work bound stopped a call; `bound` names the bound."""
+
+    bound = "work bound"
 
 
 def __getattr__(name: str):

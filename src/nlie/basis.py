@@ -48,6 +48,7 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
+from . import _Bound
 from .terms import (
     Term, _cell_text, _check_cell, _int_text, _key_children, _runs, _walk, bracket_layers,
     layer_items,
@@ -56,8 +57,10 @@ from .terms import (
 DEFAULT_ENUMERATION_CAP = 200_000
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(_Bound):
     """The requested basic-commutator list would exceed the size ceiling."""
+
+    bound = "enumeration cap"
 
 
 class EnumerationMode(Enum):

@@ -13,7 +13,9 @@ Each command imports only the modules it runs, from inside the
 functions that run them, and `counting.count_by_method` evaluates every
 method of `count` and `compare`, importing the enumerator or the oracle
 only for their counts: `--help`, `table --which 3|4` and the closed-form
-counts but necklace-bound and via-lie load `nlie.counting` alone.
+counts but necklace-bound and via-lie load `nlie.counting` alone.  A
+bound's exception is caught as `nlie._Bound` and named by its `bound`,
+so a refused count loads only the module that refused it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 import warnings
 from itertools import islice
 
-from . import counting
+from . import _Bound, counting
 
 DEFAULT_COMPARE_ORACLE_CEILING = 2_000
 
@@ -38,18 +40,6 @@ _METHOD_NAMES = {tag.lower().replace("_", "-"): tag for tag in counting.METHODS}
 # `basis.EnumerationMode` member names by their `enumerate --mode` name:
 # the enumeration count tag without its ENUM_ prefix
 _MODE_NAMES = {t.removeprefix("ENUM_").lower(): m for t, m in counting.ENUM_MODES.items()}
-
-
-def _bounds() -> dict:
-    """The bounds that can stop a method, by the exception they raise.
-    An except clause calls this only once something is raised, so a
-    command that never asks the oracle never imports `nlie.oracle`."""
-    from . import basis, oracle
-
-    return {
-        basis.EnumerationCapExceeded: "enumeration cap",
-        oracle.InstanceCeilingExceeded: "oracle ceiling",
-    }
 
 
 class _Unprintable(ValueError):
@@ -72,11 +62,8 @@ def cmd_count(args) -> int:
         value = counting.count_by_method(
             _METHOD_NAMES[args.method], args.n, args.d, args.w, args.oracle_ceiling
         )
-    except tuple(_bounds()) as exc:
-        print(
-            f"method {args.method} stopped by the {_bounds()[type(exc)]}: {exc}",
-            file=sys.stderr,
-        )
+    except _Bound as exc:
+        print(f"method {args.method} stopped by the {exc.bound}: {exc}", file=sys.stderr)
         return 1
     if value is None:
         print(
@@ -231,7 +218,7 @@ def compare_rows(n: int, d: int, w_max: int, oracle_ceiling: int):
         for tag in counting.METHODS:
             try:
                 values[tag] = counting.count_by_method(tag, n, d, w, oracle_ceiling)
-            except tuple(_bounds()):
+            except _Bound:
                 values[tag] = None
         row = [str(n), str(d), str(w)]
         row += [

@@ -55,6 +55,7 @@ from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
+from . import _Bound
 from .terms import (
     _cell_text,
     _check_cell,
@@ -75,8 +76,10 @@ DEFAULT_CEILING = 200_000
 
 CACHE_ENV_VAR = "NLIE_ORACLE_CACHE"
 
-class InstanceCeilingExceeded(RuntimeError):
+class InstanceCeilingExceeded(_Bound):
     """The monomial slice is larger than the configured ceiling."""
+
+    bound = "oracle ceiling"
 
 
 class MonomialBasis(NamedTuple):

@@ -288,17 +288,22 @@ def is_canonical(t: Term, n: int) -> bool:
 def weight_multisets(total: int, parts: int, cap: int):
     """Non-increasing compositions of `total` into `parts` parts, each in
     [1, cap], in descending lexicographic order.  An explicit stack, not
-    recursion, so any number of parts works."""
+    recursion, so any number of parts works.  A next part starts at
+    ceil(rest / k), the least that can still be the largest of the k parts
+    left, so no prefix is walked that ends nowhere, and a tail of k ones
+    comes at once, not one part at a time."""
     stack = [((), total, parts, cap)]  # (prefix, rest of total, parts left, next cap)
     while stack:
         prefix, rest, k, top = stack.pop()
-        if k == 1:
+        if 0 < k == rest and top >= 1:
+            yield prefix + (1,) * k
+        elif k == 1:
             if 1 <= rest <= top:
                 yield prefix + (rest,)
         elif k > 1:  # the smallest next part is pushed first, so popped last
             stack += [
                 (prefix + (first,), rest - first, k - 1, first)
-                for first in range(1, min(top, rest - (k - 1)) + 1)
+                for first in range(-(-rest // k), min(top, rest - (k - 1)) + 1)
             ]
 
 

@@ -291,7 +291,7 @@ PUBLIC_NAMES = [
     "format_term", "graded_dimension", "graded_monomials", "is_basic", "ladder",
     "ladder_recursive", "lc_format", "lcs_quotient_dim", "length",
     "lie_expansion", "membership", "moebius", "necklace_bound",
-    "nonbasic_breakdown", "oracle", "parse", "relation_rows", "rewrite", "terms",
+    "nonbasic_breakdown", "oracle", "parse", "rewrite", "terms",
     "weight", "weight3_closed_form", "weight4_closed_form", "weightw_closed_form",
     "witt",
 ]
@@ -360,18 +360,40 @@ def test_compare_loads_no_csv():
                              among=("csv",)) == "[]\n"
 
 
-def test_help_entry_point_loads_only_cli_and_counting():
-    # the real `python -m nlie.cli` entry point; -v names every module it
-    # loads, nlie.cli itself running as __main__
+def entry_point_loads(*argv):
+    """The exit status, stdout, stderr and the modules loaded of the real
+    `python -m nlie.cli` entry point run on `argv`; -v names every module
+    it loads, nlie.cli itself running as __main__, on stderr."""
     proc = python_with_src(
-        "-S", "-v", "-m", "nlie.cli", "--help",
+        "-S", "-v", "-m", "nlie.cli", *argv,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0 and out.startswith("usage: nlie")
-    loaded = set(re.findall(r"^import '([\w.]+)'", err, re.MULTILINE))
+    return proc.returncode, out, err, set(re.findall(r"^import '([\w.]+)'", err, re.MULTILINE))
+
+
+def test_help_entry_point_loads_only_cli_and_counting():
+    code, out, _, loaded = entry_point_loads("--help")
+    assert code == 0 and out.startswith("usage: nlie")
     assert sorted(m for m in loaded if m.startswith("nlie")) == ["nlie", "nlie.counting"]
     assert loaded & {"nlie.terms", *UNUSED} == set()
+
+
+@pytest.mark.parametrize(
+    "method, cell, refuser, other",
+    [("oracle", (2, 4, 10), "oracle", "basis"), ("enum-full", (3, 9, 7), "basis", "oracle")],
+    ids=["oracle", "enum-full"],
+)
+def test_a_refused_count_loads_only_the_module_that_refused_it(method, cell, refuser, other):
+    # the bound's exception is caught by its base in nlie, so naming the
+    # bound imports neither the enumerator nor the oracle
+    n, d, w = map(str, cell)
+    code, out, err, loaded = entry_point_loads(
+        "count", "--n", n, "--d", d, "--w", w, "--method", method
+    )
+    assert (code, out) == (1, "")
+    assert re.search(f"^method {method} stopped by the ", err, re.MULTILINE)
+    assert f"nlie.{refuser}" in loaded and f"nlie.{other}" not in loaded
 
 
 def test_enumerate_loads_neither_rewrite_nor_the_oracle():
@@ -630,6 +652,7 @@ def test_count_prints_what_count_by_method_gives(capsys, monkeypatch, ceiling):
         except tuple(bounds) as exc:
             assert (code, out) == (1, ""), (tag, n, d, w)
             assert err == f"method {name} stopped by the {bounds[type(exc)]}: {exc}\n"
+            assert exc.bound == bounds[type(exc)]
             stopped[type(exc)] = stopped.get(type(exc), 0) + 1
             continue
         if value is None:
@@ -640,6 +663,11 @@ def test_count_prints_what_count_by_method_gives(capsys, monkeypatch, ceiling):
             assert ("gives a negative value" in err) == (value < 0), (tag, n, d, w)
     assert stopped[basis.EnumerationCapExceeded] == len(ENUMERATION_CAP_CELLS)
     assert stopped[oracle.InstanceCeilingExceeded] > 0
+
+
+def test_the_bounds_share_one_base_and_stay_runtime_errors():
+    for exc in (basis.EnumerationCapExceeded, oracle.InstanceCeilingExceeded):
+        assert issubclass(exc, nlie._Bound) and issubclass(exc, RuntimeError)
 
 
 # Frozen output of `nlie compare --n 4 --d 4 --w-max 4`: pins the column

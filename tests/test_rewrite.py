@@ -492,3 +492,17 @@ def test_collect_output_is_frozen_at_arity_5_and_from_weight_10():
     assert (len(records), capped, sum(len(r[1]) for r in records)) == (56, 24, 4062)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "41e1e228e1a9ef5aaa5e8ebad4e6f8a640ef23d15b449a5e935fc1a8aac5b573"
+
+
+def test_a_cycling_run_leaves_the_same_residual_at_any_cap():
+    # from some step on, every step is a root Jacobi step that takes the
+    # work combination from 2 terms to 1 and back, so the budget always
+    # runs out on the same residual; a collecting process that ends or
+    # reports the cycle changes this test
+    t = terms.parse("[[x6,x4,x3,x5],x2,x3,[x1,[x5,x4,x6,x1],x2,x3]]", 4)
+    runs = [collect(t, 4, cap=cap) for cap in (100, 2000)]
+    for lc, trace in runs:
+        assert trace.capped and len(lc) == 11
+        assert [step[2:] for step in trace.steps[-4:]] == [(2, 1), (1, 2), (2, 1), (1, 2)]
+        assert all(step[:2] == (JACOBI, ()) for step in trace.steps[-4:])
+    assert runs[0][0] == runs[1][0]
